@@ -28,7 +28,7 @@ def main() -> int:
     db = parse_database((DATA / "vancouver.bib").read_text(encoding="utf-8"))
     records, _ = normalize_database(db.entries)
     index = scan_citations((DATA / "manuscript.tex").read_text(encoding="utf-8"))
-    pairs, missing = resolve(index, records)
+    pairs, missing = resolve(index.keys, records)
     expected = (DATA / "expected_refs.txt").read_text(encoding="utf-8").splitlines()
 
     drifted = 0

@@ -6,7 +6,6 @@ from .bibtex import (
     parse_database,
     serialize_database,
     strip_latex,
-    tokenize,
 )
 from .citescan import CitationIndex, resolve, scan_citations
 from .diagnostics import Diagnostic
@@ -30,7 +29,6 @@ from .render import (
     ConflictingLocator,
     InvalidRange,
     MissingRequiredField,
-    Reference,
     RenderError,
     StyleConfig,
     compress_page_range,
@@ -38,7 +36,6 @@ from .render import (
     format_date,
     format_journal_locator,
     format_name,
-    render_numbered,
     render_reference,
 )
 
@@ -58,7 +55,6 @@ __all__ = [
     "PartialDate",
     "PersonName",
     "RawEntry",
-    "Reference",
     "RenderError",
     "Role",
     "StyleConfig",
@@ -75,11 +71,9 @@ __all__ = [
     "parse_date",
     "parse_names",
     "parse_pages",
-    "render_numbered",
     "render_reference",
     "resolve",
     "scan_citations",
     "serialize_database",
     "strip_latex",
-    "tokenize",
 ]

@@ -1,4 +1,4 @@
-"""Lexer and parser for BibTeX-style bibliography databases.
+"""Parser for BibTeX-style bibliography databases.
 
 The grammar accepted is ``@type{key, name = value, ...}`` with brace-,
 quote- or bare-delimited values, ``#`` concatenation, ``@string`` macros,
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterator
 
 from .diagnostics import Diagnostic, error, warning
 
@@ -42,43 +40,11 @@ _KEY_PAREN_RE = re.compile(r"[^,\s()]+")
 
 
 class BibtexSyntaxError(ValueError):
-    """Lexing failure; ``offset`` locates the problem in the input."""
-
-    code = "syntax"
+    """Parse failure; ``offset`` locates the problem in the input."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(message)
         self.offset = offset
-
-
-class UnbalancedBraceError(BibtexSyntaxError):
-    code = "unbalanced-brace"
-
-
-class UnterminatedStringError(BibtexSyntaxError):
-    code = "unterminated-string"
-
-
-class UnexpectedEOFError(BibtexSyntaxError):
-    code = "unexpected-eof"
-
-
-class TokenKind(Enum):
-    ENTRY = "entry"      # value is the lowercased entry type
-    NAME = "name"        # key, field name or macro reference
-    NUMBER = "number"    # bare digit run
-    VALUE = "value"      # brace- or quote-delimited text, delimiters stripped
-    EQUALS = "equals"
-    HASH = "hash"
-    COMMA = "comma"
-    CLOSE = "close"      # end of an entry body
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: TokenKind
-    value: str
-    offset: int
 
 
 @dataclass(frozen=True)
@@ -96,12 +62,6 @@ class Database:
     entries: list[RawEntry] = field(default_factory=list)
     macros: dict[str, str] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
-
-    def get(self, key: str) -> RawEntry | None:
-        for entry in self.entries:
-            if entry.key == key:
-                return entry
-        return None
 
 
 def _skip_space(text: str, i: int) -> int:
@@ -136,7 +96,7 @@ def _scan_braced(text: str, i: int) -> tuple[str, int]:
     while True:
         m = _BRACE_JUMP_RE.search(text, i)
         if m is None:
-            raise UnbalancedBraceError("brace opened here is never closed", start - 1)
+            raise BibtexSyntaxError("brace opened here is never closed", start - 1)
         if m.group(0) == "{":
             depth += 1
         elif depth == 0:
@@ -153,7 +113,7 @@ def _scan_quoted(text: str, i: int) -> tuple[str, int]:
     while True:
         m = _QUOTE_JUMP_RE.search(text, i)
         if m is None:
-            raise UnterminatedStringError(
+            raise BibtexSyntaxError(
                 "string opened here is never closed", start - 1)
         c = m.group(0)
         if c == '"':
@@ -164,71 +124,8 @@ def _scan_quoted(text: str, i: int) -> tuple[str, int]:
         else:
             depth -= 1
             if depth < 0:
-                raise UnbalancedBraceError("unexpected '}' inside string", m.start())
+                raise BibtexSyntaxError("unexpected '}' inside string", m.start())
         i = m.end()
-
-
-def tokenize(text: str) -> Iterator[Token]:
-    """Yield the token stream of a ``.bib`` source.
-
-    Inter-entry free text is skipped per BibTeX convention.  Raises
-    :class:`BibtexSyntaxError` subclasses on unbalanced braces,
-    unterminated strings, or input that ends inside an entry.
-    """
-    i = 0
-    n = len(text)
-    while True:
-        i = _skip_junk(text, i)
-        if i >= n:
-            return
-        at = i
-        i = _skip_space(text, i + 1)
-        m = _TYPE_RE.match(text, i)
-        if m is None:
-            continue  # stray '@' counts as junk
-        entry_type = m.group(0).lower()
-        i = _skip_space(text, m.end())
-        if entry_type == "comment":
-            continue  # BibTeX ignores everything after @comment
-        if i >= n or text[i] not in "{(":
-            continue  # '@type' without a body: junk
-        close = "}" if text[i] == "{" else ")"
-        yield Token(TokenKind.ENTRY, entry_type, at)
-        i += 1
-        while True:
-            i = _skip_space(text, i)
-            if i >= n:
-                raise UnexpectedEOFError("input ended inside an entry", n)
-            c = text[i]
-            if c == close:
-                yield Token(TokenKind.CLOSE, c, i)
-                i += 1
-                break
-            if c == ",":
-                yield Token(TokenKind.COMMA, c, i)
-                i += 1
-            elif c == "=":
-                yield Token(TokenKind.EQUALS, c, i)
-                i += 1
-            elif c == "#":
-                yield Token(TokenKind.HASH, c, i)
-                i += 1
-            elif c == "{":
-                value, j = _scan_braced(text, i + 1)
-                yield Token(TokenKind.VALUE, value, i)
-                i = j
-            elif c == '"':
-                value, j = _scan_quoted(text, i + 1)
-                yield Token(TokenKind.VALUE, value, i)
-                i = j
-            else:
-                m = _NAME_RE.match(text, i)
-                if m is None:
-                    raise BibtexSyntaxError(f"unexpected character {c!r}", i)
-                word = m.group(0)
-                kind = TokenKind.NUMBER if word.isdigit() else TokenKind.NAME
-                yield Token(kind, word, i)
-                i = m.end()
 
 
 _WS_RUN_RE = re.compile(r"\s+")
@@ -313,7 +210,7 @@ class _Parser:
         fields: dict[str, str] = {}
         while True:
             if i >= len(text):
-                raise UnexpectedEOFError("input ended inside an entry", len(text))
+                raise BibtexSyntaxError("input ended inside an entry", len(text))
             if text[i] == close:
                 i += 1
                 break
@@ -367,7 +264,7 @@ class _Parser:
     def _parse_piece(self, i: int) -> tuple[str, int]:
         text = self.text
         if i >= len(text):
-            raise UnexpectedEOFError("input ended where a value was expected", len(text))
+            raise BibtexSyntaxError("input ended where a value was expected", len(text))
         c = text[i]
         if c == "{":
             return _scan_braced(text, i + 1)
@@ -389,7 +286,7 @@ class _Parser:
     def _expect(self, i: int, char: str) -> int:
         i = _skip_space(self.text, i)
         if i >= len(self.text):
-            raise UnexpectedEOFError(f"expected '{char}' before end of input", len(self.text))
+            raise BibtexSyntaxError(f"expected '{char}' before end of input", len(self.text))
         if self.text[i] != char:
             raise BibtexSyntaxError(f"expected '{char}', found {self.text[i]!r}", i)
         return i + 1

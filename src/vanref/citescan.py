@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 from .diagnostics import Diagnostic, warning
 from .model import BibRecord
@@ -15,10 +16,9 @@ _COMMENT_RE = re.compile(r"(?<!\\)%[^\n]*")
 
 @dataclass(frozen=True)
 class CitationIndex:
-    """Cited keys in first-appearance order with their 1-based numbers."""
+    """Cited keys in first-appearance order; a key's number is its position."""
 
     keys: tuple[str, ...] = ()
-    numbers: dict[str, int] = field(default_factory=dict)
     occurrences: tuple[tuple[str, int], ...] = ()
     diagnostics: tuple[Diagnostic, ...] = ()
 
@@ -29,7 +29,7 @@ def _blank_comments(text: str) -> str:
 
 
 def scan_citations(text: str) -> CitationIndex:
-    """Collect ``\\cite{...}`` keys and number them by first appearance.
+    """Collect ``\\cite{...}`` keys in order of first appearance.
 
     Comma-separated groups expand in place, incidental whitespace around
     keys is trimmed, and citations inside %-comments are ignored.  Empty
@@ -37,8 +37,6 @@ def scan_citations(text: str) -> CitationIndex:
     diagnostics rather than failures.
     """
     source = _blank_comments(text)
-    ordered: list[str] = []
-    numbers: dict[str, int] = {}
     occurrences: list[tuple[str, int]] = []
     diagnostics: list[Diagnostic] = []
     for match in _CITE_RE.finditer(source):
@@ -56,34 +54,30 @@ def scan_citations(text: str) -> CitationIndex:
                     offset))
                 continue
             occurrences.append((key, offset))
-            if key not in numbers:
-                ordered.append(key)
-                numbers[key] = len(ordered)
     return CitationIndex(
-        keys=tuple(ordered),
-        numbers=numbers,
+        keys=tuple(dict.fromkeys(key for key, _ in occurrences)),
         occurrences=tuple(occurrences),
         diagnostics=tuple(diagnostics),
     )
 
 
-def resolve(index: CitationIndex,
-            records: list[BibRecord]) -> tuple[list[tuple[int, BibRecord]], list[str]]:
-    """Pair cited keys with database records, in citation-number order.
+def resolve(keys: Iterable[str],
+            records: Iterable[BibRecord]) -> tuple[list[tuple[int, BibRecord]], list[str]]:
+    """Number ``keys`` by position and pair each with its database record.
 
-    Uncited records are excluded.  Missing keys are reported without
-    renumbering: their numbers were already assigned in the manuscript, so
-    gaps stay open.
+    A repeated key keeps its first number.  Records whose keys are not
+    listed are excluded.  Missing keys are reported without renumbering:
+    their numbers were already assigned, so gaps stay open.
     """
     by_key = {}
     for record in records:
         by_key.setdefault(record.key, record)
     resolved: list[tuple[int, BibRecord]] = []
     missing: list[str] = []
-    for key in index.keys:
+    for number, key in enumerate(dict.fromkeys(keys), start=1):
         record = by_key.get(key)
         if record is None:
             missing.append(key)
         else:
-            resolved.append((index.numbers[key], record))
+            resolved.append((number, record))
     return resolved, missing

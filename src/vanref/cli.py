@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from .bibtex import Database, parse_database
 from .citescan import scan_citations, resolve
 from .diagnostics import Diagnostic, ERROR, error, warning
-from .model import BibRecord, EntryType, normalize
-from .render import Reference, RenderError, StyleConfig, render_reference
+from .model import TRUE_WORDS, BibRecord, normalize
+from .render import TEMPLATES, RenderError, StyleConfig, render_reference
 
 CONFIG_ENV_VAR = "VANREF_CONFIG"
 
@@ -90,7 +90,8 @@ def _load_databases(paths: list[str], reporter: _Reporter) -> Database | None:
             if entry.key in seen:
                 reporter.emit(warning(
                     "duplicate-key",
-                    f"duplicate entry key '{entry.key}' across files"),
+                    f"duplicate entry key '{entry.key}' across files",
+                    entry.span[0]),
                     text, path)
             else:
                 seen.add(entry.key)
@@ -98,14 +99,13 @@ def _load_databases(paths: list[str], reporter: _Reporter) -> Database | None:
     return merged
 
 
-def _normalize_all(db: Database, reporter: _Reporter,
-                   path_hint: str = "") -> dict[str, BibRecord]:
-    records: dict[str, BibRecord] = {}
+def _normalize_all(db: Database, reporter: _Reporter) -> list[BibRecord]:
+    records = []
     for entry in db.entries:
         record, diags = normalize(entry)
         for diag in diags:
-            reporter.emit(diag, path=path_hint)
-        records[record.key] = record
+            reporter.emit(diag)
+        records.append(record)
     return records
 
 
@@ -116,7 +116,7 @@ def _markdown_escape(text: str) -> str:
     return _MARKDOWN_SPECIALS.sub(r"\\\1", text)
 
 
-def _write_lines(lines: list[str], out_path: str | None, stdout) -> bool:
+def _write_lines(lines: list[str], out_path: str | None, stdout, stderr) -> bool:
     body = "".join(line + "\n" for line in lines)
     if out_path is None:
         stdout.write(body)
@@ -126,7 +126,7 @@ def _write_lines(lines: list[str], out_path: str | None, stdout) -> bool:
             handle.write(body)
         return True
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"{out_path}: cannot write: {exc}", file=sys.stderr)
+        print(f"{out_path}: cannot write: {exc}", file=stderr)
         return False
 
 
@@ -154,88 +154,31 @@ def cmd_format(config: RunConfig, stdout=None, stderr=None) -> int:
         index = scan_citations(tex)
         for diag in index.diagnostics:
             reporter.emit(diag, tex, config.tex_path)
-        pairs, missing = resolve(index, list(records.values()))
-        for key in missing:
-            reporter.emit(warning("missing-key", f"no database entry for '{key}'"))
-        numbered = pairs
+        keys = index.keys
     elif config.keys is not None:
         if not config.keys:
             print("no keys", file=reporter.stderr)
             return EXIT_CONTENT
-        numbered = []
-        for number, key in enumerate(config.keys, start=1):
-            record = records.get(key)
-            if record is None:
-                reporter.emit(warning("missing-key", f"no database entry for '{key}'"))
-            else:
-                numbered.append((number, record))
+        keys = config.keys
     else:
-        numbered = list(enumerate(records.values(), start=1))
+        keys = [record.key for record in records]
 
-    references = []
-    for number, record in numbered:
+    pairs, missing = resolve(keys, records)
+    for key in missing:
+        reporter.emit(warning("missing-key", f"no database entry for '{key}'"))
+    lines = []
+    for number, record in pairs:
         try:
-            references.append(
-                Reference(number, record.key, render_reference(record, style)))
+            text = render_reference(record, style)
         except RenderError as exc:
             reporter.emit(warning("render", f"entry '{record.key}': {exc}"))
-    lines = []
-    for ref in references:
-        text = (_markdown_escape(ref.text) if config.output_format == "markdown"
-                else ref.text)
-        lines.append(f"{ref.number}. {text}")
-    if not _write_lines(lines, config.out_path, stdout):
+            continue
+        if config.output_format == "markdown":
+            text = _markdown_escape(text)
+        lines.append(f"{number}. {text}")
+    if not _write_lines(lines, config.out_path, stdout, reporter.stderr):
         return EXIT_IO
     return reporter.exit_code(config.strict)
-
-
-# Fields every entry type may carry.
-_COMMON_FIELDS = {
-    "title", "year", "month", "day", "date", "language", "note", "key",
-}
-
-_CONTRIBUTOR_FIELDS = {
-    "author", "editor", "compiler", "organization",
-}
-
-_JOURNAL_FIELDS = _CONTRIBUTOR_FIELDS | {
-    "journal", "volume", "number", "issue", "volsuppl", "issuesuppl",
-    "volpart", "issuepart", "pages", "epub", "pmid", "retractionof",
-    "retractionin", "erratumin", "republishedfrom", "articletype",
-    "inpress", "pagination",
-}
-
-_WEB_FIELDS = {"url", "medium", "updated", "lastchecked", "part", "extent",
-               "datesep"}
-
-_BOOK_FIELDS = _CONTRIBUTOR_FIELDS | {
-    "address", "publisher", "edition", "medium",
-}
-
-_KNOWN_FIELDS: dict[EntryType, set[str]] = {
-    EntryType.ARTICLE: _JOURNAL_FIELDS,
-    EntryType.WEBJOURNAL: _JOURNAL_FIELDS | _WEB_FIELDS,
-    EntryType.BOOK: _BOOK_FIELDS,
-    EntryType.CDROM: _BOOK_FIELDS,
-    EntryType.AUDIOVISUAL: _BOOK_FIELDS,
-    EntryType.MAP: _BOOK_FIELDS | {"cartographer"},
-    EntryType.DICTIONARY: _BOOK_FIELDS | {"term", "pages"},
-    EntryType.CHAPTER: _BOOK_FIELDS | {"booktitle", "pages"},
-    EntryType.INPROCEEDINGS: _BOOK_FIELDS | {
-        "booktitle", "pages", "conference", "conferencedate", "conferenceplace"},
-    EntryType.PROCEEDINGS: _BOOK_FIELDS | {
-        "conference", "conferencedate", "conferenceplace"},
-    EntryType.TECHREPORT: _BOOK_FIELDS | {
-        "institution", "affiliation", "type", "number", "contract", "sponsor"},
-    EntryType.DISSERTATION: _BOOK_FIELDS | {"school"},
-    EntryType.PATENT: {"inventor", "assignee", "country", "number"},
-    EntryType.NEWSPAPER: _CONTRIBUTOR_FIELDS | {
-        "journal", "section", "pages", "column"},
-    EntryType.WEBMONOGRAPH: _BOOK_FIELDS | _WEB_FIELDS,
-    EntryType.WEBPAGE: _BOOK_FIELDS | _WEB_FIELDS,
-    EntryType.WEBDATABASE: _BOOK_FIELDS | _WEB_FIELDS,
-    EntryType.MISC: _BOOK_FIELDS | _WEB_FIELDS | _JOURNAL_FIELDS,
-}
 
 
 def cmd_check(config: RunConfig, stdout=None, stderr=None) -> int:
@@ -253,11 +196,11 @@ def cmd_check(config: RunConfig, stdout=None, stderr=None) -> int:
         record, diags = normalize(entry)
         for diag in diags:
             reporter.emit(diag)
-        known = _KNOWN_FIELDS.get(record.entry_type, set()) | _COMMON_FIELDS
+        known = TEMPLATES[record.entry_type].fields
         for name in entry.fields:
             if name not in known:
-                reporter.emit(Diagnostic(
-                    "warning", "unknown-field",
+                reporter.emit(warning(
+                    "unknown-field",
                     f"entry '{entry.key}': field '{name}' not used by "
                     f"entry type '{record.entry_type.value}'",
                     entry.span[0]))
@@ -286,17 +229,14 @@ def cmd_scan(config: RunConfig, stdout=None, stderr=None) -> int:
     index = scan_citations(tex)
     for diag in index.diagnostics:
         reporter.emit(diag, tex, config.tex_path)
-    lines = [f"{index.numbers[key]} {key}" for key in index.keys]
-    if not _write_lines(lines, config.out_path, stdout):
+    lines = [f"{number} {key}" for number, key in enumerate(index.keys, start=1)]
+    if not _write_lines(lines, config.out_path, stdout, reporter.stderr):
         return EXIT_IO
     return reporter.exit_code(config.strict)
 
 
 # ---------------------------------------------------------------------------
 # argument and config-file handling
-
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-
 
 def _load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
@@ -327,7 +267,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if "format" in file_values:
             config.output_format = file_values["format"]
         if "strict" in file_values:
-            config.strict = file_values["strict"].lower() in _TRUE_WORDS
+            config.strict = file_values["strict"].lower() in TRUE_WORDS
     config.bib_paths = list(getattr(args, "bib", None) or [])
     config.tex_path = getattr(args, "tex", None)
     if getattr(args, "keys", None) is not None:
@@ -363,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--tex", metavar="PATH",
                       help="manuscript; numbering follows citation order")
     mode.add_argument("--keys", metavar="K1,K2,...",
-                      help="explicit comma-separated citation keys")
+                      help="explicit comma-separated citation keys; "
+                           "a repeated key keeps its first number")
     mode.add_argument("--all", action="store_true",
                       help="render every entry in database order (default)")
     fmt.add_argument("--out", metavar="PATH", help="write to file instead of stdout")

@@ -249,17 +249,13 @@ def _is_lower_word(word: str) -> bool:
     return False
 
 
-def _clean(text: str) -> str:
-    return strip_latex(text)
-
-
 def _person_from_parts(first: list[str], von: list[str], last: list[str],
                        suffix: list[str]) -> PersonName:
     return PersonName(
-        family=_clean(" ".join(last)),
-        given=_clean(" ".join(first)),
-        particle=_clean(" ".join(von)),
-        suffix=_clean(" ".join(suffix)),
+        family=strip_latex(" ".join(last)),
+        given=strip_latex(" ".join(first)),
+        particle=strip_latex(" ".join(von)),
+        suffix=strip_latex(" ".join(suffix)),
     )
 
 
@@ -289,7 +285,7 @@ def _parse_one_name(piece: str) -> PersonName:
                 break
         else:
             if depth == 0:
-                return PersonName(literal=_clean(inner))
+                return PersonName(literal=strip_latex(inner))
     words = _split_depth0(stripped)
     parts = _split_commas_depth0(words)
     if len(parts) == 1:
@@ -514,7 +510,8 @@ _ROLE_FIELDS = [
     ("cartographer", Role.CARTOGRAPHER),
 ]
 
-_TRUE_WORDS = {"yes", "true", "1", "on"}
+# Values read as "yes" in flag-like fields and config files.
+TRUE_WORDS = {"yes", "true", "1", "on"}
 
 
 def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
@@ -645,7 +642,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         section=plain("section"),
         column=plain("column"),
         affiliation=plain("affiliation"),
-        in_press="inpress" in f and f["inpress"].strip().lower() in _TRUE_WORDS | {""},
+        in_press="inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""},
         continuous_pagination=pagination == "continuous",
         date_separator=datesep,
     )

@@ -1,12 +1,14 @@
 """Vancouver-style reference rendering.
 
-One template function per entry-type family; ``render_reference`` dispatches
-through :data:`TEMPLATES`.  All functions are pure: strings in, strings out.
+:data:`TEMPLATES` has one row per entry type: its template function, the
+record attributes the template requires and the ``.bib`` fields ``check``
+accepts.  All functions are pure: strings in, strings out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from .model import (
     BibRecord,
@@ -192,12 +194,6 @@ def format_contributors(lists: tuple[ContributorList, ...] | list[ContributorLis
 # ---------------------------------------------------------------------------
 # shared record pieces
 
-def _require(rec: BibRecord, *fields: str) -> None:
-    for field in fields:
-        if not getattr(rec, field):
-            raise MissingRequiredField(rec.entry_type, field)
-
-
 def _primary_contributors(rec: BibRecord, style: StyleConfig,
                           roles: tuple[Role, ...] = (Role.AUTHOR, Role.ORGANIZATION),
                           affiliation: str = "") -> str:
@@ -301,7 +297,6 @@ def _note_segments(rec: BibRecord) -> list[str]:
 # entry-type templates
 
 def _render_article(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title", "journal")
     segments = [
         _primary_contributors(rec, style),
         _bracketed_title(rec, rec.article_type),
@@ -328,10 +323,11 @@ def _render_article(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_webjournal(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "url")
-    body = _render_article(
-        replace(rec, journal=_join([rec.journal, f"[{rec.medium}]" if rec.medium else ""])),
-        style)
+    # A medium alone stands in for the journal title: "T. [Internet]."
+    journal = _join([rec.journal, f"[{rec.medium}]" if rec.medium else ""])
+    if not journal:
+        raise MissingRequiredField(rec.entry_type, "journal")
+    body = _render_article(replace(rec, journal=journal), style)
     return _join([body, "Available from:", rec.url])
 
 
@@ -354,7 +350,6 @@ def _book_contributors(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_book(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title")
     return _join([
         _book_contributors(rec, style),
         _sentence(rec.title),
@@ -365,7 +360,6 @@ def _render_book(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_dictionary(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title")
     segments = [
         _book_contributors(rec, style),
         _sentence(rec.title),
@@ -390,7 +384,6 @@ def _conference_line(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_chapter(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title", "booktitle")
     editors = rec.lists(Role.EDITOR, Role.COMPILER)
     in_block = "In: " + _join([
         format_contributors(editors, style) if editors else "",
@@ -409,7 +402,6 @@ def _render_chapter(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_proceedings(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title")
     return _join([
         _book_contributors(rec, style),
         _sentence(rec.title),
@@ -419,7 +411,6 @@ def _render_proceedings(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_techreport(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title")
     segments = [
         _primary_contributors(rec, style, affiliation=rec.affiliation),
         _sentence(rec.title),
@@ -444,7 +435,6 @@ _DEFAULT_BRACKETS = {
 
 def _render_media_monograph(rec: BibRecord, style: StyleConfig) -> str:
     """Dissertations, audiovisual media, CD-ROMs and maps: title [medium]."""
-    _require(rec, "title")
     bracket = rec.medium or _DEFAULT_BRACKETS.get(rec.entry_type, "")
     contributors = rec.lists(Role.AUTHOR, Role.ORGANIZATION, Role.CARTOGRAPHER,
                              Role.EDITOR, Role.COMPILER)
@@ -456,7 +446,6 @@ def _render_media_monograph(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_patent(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title", "report_number")
     people = rec.lists(Role.INVENTOR, Role.ASSIGNEE) or rec.lists(Role.AUTHOR)
     number_line = _join([rec.country, "patent", rec.report_number])
     return _join([
@@ -468,7 +457,6 @@ def _render_patent(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_newspaper(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title", "journal")
     date_str = format_date(rec.date, style) if rec.date is not None else ""
     locator = date_str
     if rec.section:
@@ -488,7 +476,6 @@ def _render_newspaper(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_web_monograph(rec: BibRecord, style: StyleConfig) -> str:
-    _require(rec, "title", "url")
     bracket = f"{rec.medium}" if rec.medium else ""
     return _join([
         _book_contributors(rec, style),
@@ -513,25 +500,83 @@ def _render_generic(rec: BibRecord, style: StyleConfig) -> str:
     return _join(segments)
 
 
-TEMPLATES = {
-    EntryType.ARTICLE: _render_article,
-    EntryType.WEBJOURNAL: _render_webjournal,
-    EntryType.BOOK: _render_book,
-    EntryType.DICTIONARY: _render_dictionary,
-    EntryType.CHAPTER: _render_chapter,
-    EntryType.INPROCEEDINGS: _render_chapter,
-    EntryType.PROCEEDINGS: _render_proceedings,
-    EntryType.TECHREPORT: _render_techreport,
-    EntryType.DISSERTATION: _render_media_monograph,
-    EntryType.AUDIOVISUAL: _render_media_monograph,
-    EntryType.CDROM: _render_media_monograph,
-    EntryType.MAP: _render_media_monograph,
-    EntryType.PATENT: _render_patent,
-    EntryType.NEWSPAPER: _render_newspaper,
-    EntryType.WEBMONOGRAPH: _render_web_monograph,
-    EntryType.WEBPAGE: _render_web_monograph,
-    EntryType.WEBDATABASE: _render_web_monograph,
-    EntryType.MISC: _render_generic,
+class Template(NamedTuple):
+    """How one entry type renders and what it takes."""
+
+    render: Callable[[BibRecord, StyleConfig], str]
+    requires: tuple[str, ...]   # record attributes, checked in this order
+    fields: frozenset[str]      # .bib fields ``check`` accepts
+
+
+# .bib field families; every entry type accepts the common fields.
+_COMMON_FIELDS = frozenset({
+    "title", "year", "month", "day", "date", "language", "note", "key",
+})
+
+_CONTRIBUTOR_FIELDS = _COMMON_FIELDS | {
+    "author", "editor", "compiler", "organization",
+}
+
+_JOURNAL_FIELDS = _CONTRIBUTOR_FIELDS | {
+    "journal", "volume", "number", "issue", "volsuppl", "issuesuppl",
+    "volpart", "issuepart", "pages", "epub", "pmid", "retractionof",
+    "retractionin", "erratumin", "republishedfrom", "articletype",
+    "inpress", "pagination",
+}
+
+_WEB_FIELDS = _COMMON_FIELDS | {
+    "url", "medium", "updated", "lastchecked", "part", "extent", "datesep",
+}
+
+_BOOK_FIELDS = _CONTRIBUTOR_FIELDS | {
+    "address", "publisher", "edition", "medium",
+}
+
+_CONFERENCE_FIELDS = frozenset({"conference", "conferencedate", "conferenceplace"})
+
+TEMPLATES: dict[EntryType, Template] = {
+    EntryType.ARTICLE: Template(
+        _render_article, ("title", "journal"), _JOURNAL_FIELDS),
+    EntryType.WEBJOURNAL: Template(
+        _render_webjournal, ("url", "title"), _JOURNAL_FIELDS | _WEB_FIELDS),
+    EntryType.BOOK: Template(
+        _render_book, ("title",), _BOOK_FIELDS),
+    EntryType.DICTIONARY: Template(
+        _render_dictionary, ("title",), _BOOK_FIELDS | {"term", "pages"}),
+    EntryType.CHAPTER: Template(
+        _render_chapter, ("title", "booktitle"),
+        _BOOK_FIELDS | {"booktitle", "pages"}),
+    EntryType.INPROCEEDINGS: Template(
+        _render_chapter, ("title", "booktitle"),
+        _BOOK_FIELDS | {"booktitle", "pages"} | _CONFERENCE_FIELDS),
+    EntryType.PROCEEDINGS: Template(
+        _render_proceedings, ("title",), _BOOK_FIELDS | _CONFERENCE_FIELDS),
+    EntryType.TECHREPORT: Template(
+        _render_techreport, ("title",), _BOOK_FIELDS | {
+            "institution", "affiliation", "type", "number", "contract",
+            "sponsor"}),
+    EntryType.DISSERTATION: Template(
+        _render_media_monograph, ("title",), _BOOK_FIELDS | {"school"}),
+    EntryType.AUDIOVISUAL: Template(
+        _render_media_monograph, ("title",), _BOOK_FIELDS),
+    EntryType.CDROM: Template(
+        _render_media_monograph, ("title",), _BOOK_FIELDS),
+    EntryType.MAP: Template(
+        _render_media_monograph, ("title",), _BOOK_FIELDS | {"cartographer"}),
+    EntryType.PATENT: Template(
+        _render_patent, ("title", "report_number"),
+        _COMMON_FIELDS | {"inventor", "assignee", "country", "number"}),
+    EntryType.NEWSPAPER: Template(
+        _render_newspaper, ("title", "journal"),
+        _CONTRIBUTOR_FIELDS | {"journal", "section", "pages", "column"}),
+    EntryType.WEBMONOGRAPH: Template(
+        _render_web_monograph, ("title", "url"), _BOOK_FIELDS | _WEB_FIELDS),
+    EntryType.WEBPAGE: Template(
+        _render_web_monograph, ("title", "url"), _BOOK_FIELDS | _WEB_FIELDS),
+    EntryType.WEBDATABASE: Template(
+        _render_web_monograph, ("title", "url"), _BOOK_FIELDS | _WEB_FIELDS),
+    EntryType.MISC: Template(
+        _render_generic, (), _BOOK_FIELDS | _WEB_FIELDS | _JOURNAL_FIELDS),
 }
 
 
@@ -542,21 +587,8 @@ def render_reference(rec: BibRecord, style: StyleConfig = DEFAULT_STYLE) -> str:
     the record's template and :class:`ConflictingLocator` on impossible
     supplement combinations.
     """
-    template = TEMPLATES.get(rec.entry_type, _render_generic)
-    return template(rec, style)
-
-
-@dataclass(frozen=True)
-class Reference:
-    """A fully rendered reference bound to its citation key and number."""
-
-    number: int
-    key: str
-    text: str
-
-
-def render_numbered(pairs: list[tuple[int, BibRecord]],
-                    style: StyleConfig = DEFAULT_STYLE) -> list[Reference]:
-    """Render ``(number, record)`` pairs, e.g. the output of ``resolve``."""
-    return [Reference(number, rec.key, render_reference(rec, style))
-            for number, rec in pairs]
+    template = TEMPLATES[rec.entry_type]
+    for name in template.requires:
+        if not getattr(rec, name):
+            raise MissingRequiredField(rec.entry_type, name)
+    return template.render(rec, style)

@@ -1,80 +1,75 @@
-"""Lexer/parser behavior: tokens, macros, recovery, round-trips."""
+"""Parser behavior: lexing, macros, recovery, round-trips."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from vanref.bibtex import (
     MONTH_MACROS,
-    BibtexSyntaxError,
     RawEntry,
-    TokenKind,
     parse_database,
     serialize_database,
     strip_latex,
-    tokenize,
 )
 
 
-def kinds_and_values(text):
-    return [(t.kind, t.value) for t in tokenize(text)]
+def single_value(text):
+    """The one field value of the one entry ``text`` parses to."""
+    db = parse_database(text)
+    assert db.diagnostics == []
+    [entry] = db.entries
+    [value] = entry.fields.values()
+    return value
+
+
+def assert_skipped_at_at_sign(entry, message):
+    """A malformed entry after free text: skipped, one diagnostic at its '@'."""
+    db = parse_database("junk " + entry)
+    assert db.entries == []
+    [diag] = db.diagnostics
+    assert diag.code == "malformed-entry"
+    assert diag.offset == len("junk ")
+    assert message in diag.message
 
 
 class TestTokenize:
+    """Lexical rules, checked through ``parse_database``, the one lexer."""
+
     def test_minimal_entry(self):
-        assert kinds_and_values("@article{k, title = {X}}") == [
-            (TokenKind.ENTRY, "article"),
-            (TokenKind.NAME, "k"),
-            (TokenKind.COMMA, ","),
-            (TokenKind.NAME, "title"),
-            (TokenKind.EQUALS, "="),
-            (TokenKind.VALUE, "X"),
-            (TokenKind.CLOSE, "}"),
-        ]
+        db = parse_database("@article{k, title = {X}}")
+        assert db.entries == [RawEntry("article", "k", {"title": "X"}, (0, 24))]
+        assert db.diagnostics == []
 
     def test_patent_entry_start(self):
-        tokens = list(tokenize(
-            "@patent{pagedas:flexible, inventor={Pagedas, Anthony C.}}"))
-        assert tokens[0].kind is TokenKind.ENTRY
-        assert tokens[0].value == "patent"
+        db = parse_database(
+            "@patent{pagedas:flexible, inventor={Pagedas, Anthony C.}}")
+        assert [(e.entry_type, e.key) for e in db.entries] == [
+            ("patent", "pagedas:flexible")]
 
     def test_nested_braces_stay_inside_value(self):
-        tokens = list(tokenize("@misc{k, f = {a {b} c}}"))
-        values = [t.value for t in tokens if t.kind is TokenKind.VALUE]
-        assert values == ["a {b} c"]
+        assert single_value("@misc{k, f = {a {b} c}}") == "a {b} c"
 
     def test_quoted_value_and_hash(self):
-        assert (TokenKind.HASH, "#") in kinds_and_values(
-            '@misc{k, f = "a" # "b"}')
+        assert single_value('@misc{k, f = "a" # "b"}') == "ab"
 
     def test_free_text_between_entries_is_ignored(self):
         text = 'noise here @misc{k, f = {v}} trailing noise'
-        assert kinds_and_values(text)[0] == (TokenKind.ENTRY, "misc")
+        assert single_value(text) == "v"
 
     def test_unbalanced_brace_has_position(self):
-        with pytest.raises(BibtexSyntaxError) as info:
-            list(tokenize("@misc{k, f = {open}"))
-        assert info.value.offset >= 0
+        assert_skipped_at_at_sign("@misc{k, f = {open", "never closed")
 
     def test_unterminated_string_has_position(self):
-        with pytest.raises(BibtexSyntaxError) as info:
-            list(tokenize('@misc{k, f = "open}'))
-        assert info.value.offset >= 0
+        assert_skipped_at_at_sign('@misc{k, f = "open', "never closed")
 
     def test_eof_inside_entry(self):
-        with pytest.raises(BibtexSyntaxError):
-            list(tokenize("@misc{k, f = {v},"))
+        assert_skipped_at_at_sign("@misc{k, f = {v}", "ended inside an entry")
 
     @given(st.text(alphabet="ab {}", max_size=30))
     def test_value_tokens_are_brace_balanced(self, inner):
-        text = "@misc{k, f = {" + inner + "}}"
-        try:
-            tokens = list(tokenize(text))
-        except BibtexSyntaxError:
-            return
-        for token in tokens:
-            if token.kind is TokenKind.VALUE:
+        db = parse_database("@misc{k, f = {" + inner + "}}")
+        for entry in db.entries:
+            for value in entry.fields.values():
                 depth = 0
-                for c in token.value:
+                for c in value:
                     depth += c == "{"
                     depth -= c == "}"
                     assert depth >= 0

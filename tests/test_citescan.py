@@ -10,11 +10,17 @@ def record(key):
     return BibRecord(key=key, entry_type=EntryType.MISC)
 
 
+def numbers(keys):
+    """Citation number of each key, as ``resolve`` assigns them."""
+    pairs, _ = resolve(keys, [record(k) for k in keys])
+    return {r.key: n for n, r in pairs}
+
+
 class TestScanCitations:
     def test_first_occurrence_ordering(self):
         index = scan_citations("a\\cite{x} b\\cite{y} c\\cite{x}")
         assert index.keys == ("x", "y")
-        assert index.numbers == {"x": 1, "y": 2}
+        assert numbers(index.keys) == {"x": 1, "y": 2}
 
     def test_leading_space_inside_braces_is_trimmed(self):
         index = scan_citations("\\cite{ tian.araki.ea:signature}")
@@ -74,32 +80,37 @@ class TestScanCitations:
         text = "\n".join(f"text\\cite{{{k}}}" for k in keys)
         index = scan_citations(text)
         assert list(index.keys) == list(keys)
-        assert [index.numbers[k] for k in keys] == [1, 2, 3, 4, 5]
+        assert [numbers(index.keys)[k] for k in keys] == [1, 2, 3, 4, 5]
 
 
 class TestResolve:
     def test_single_key(self):
         index = scan_citations("\\cite{x}")
-        pairs, missing = resolve(index, [record("x")])
+        pairs, missing = resolve(index.keys, [record("x")])
         assert [(n, r.key) for n, r in pairs] == [(1, "x")]
         assert missing == []
 
     def test_missing_key_keeps_gap(self):
         index = scan_citations("\\cite{x}\\cite{y}\\cite{z}")
-        pairs, missing = resolve(index, [record("x"), record("z")])
+        pairs, missing = resolve(index.keys, [record("x"), record("z")])
         assert [(n, r.key) for n, r in pairs] == [(1, "x"), (3, "z")]
+        assert missing == ["y"]
+
+    def test_repeated_key_keeps_first_number(self):
+        pairs, missing = resolve(["x", "y", "x"], [record("x")])
+        assert [(n, r.key) for n, r in pairs] == [(1, "x")]
         assert missing == ["y"]
 
     def test_uncited_entries_excluded(self):
         index = scan_citations("\\cite{x}")
-        pairs, _ = resolve(index, [record("x"), record("unused")])
+        pairs, _ = resolve(index.keys, [record("x"), record("unused")])
         assert len(pairs) == 1
 
     def test_corpus_manuscript_pairs(self, corpus_tex_text, corpus_records):
         # Frozen from a by-hand enumeration of the manuscript's cite
         # commands; 48 unique keys, one per sample reference.
         index = scan_citations(corpus_tex_text)
-        pairs, missing = resolve(index, list(corpus_records.values()))
+        pairs, missing = resolve(index.keys, corpus_records.values())
         assert missing == []
         assert len(pairs) == 48
         assert index.keys[:3] == (

@@ -126,6 +126,14 @@ class TestFormat:
         assert out == ""
         assert target.read_text(encoding="utf-8").startswith("1. MeSH Browser")
 
+    def test_unwritable_out_path_reports_to_given_stream(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "refs.txt"
+        code, out, err = run_format(bib_paths=[BIB], keys=["mesh"],
+                                    out_path=str(target))
+        assert (code, out) == (2, "")
+        assert f"{target}: cannot write" in err
+        assert capsys.readouterr().err == ""
+
     def test_max_authors_override(self):
         code, out, _ = run_format(
             bib_paths=[BIB], keys=["rose.huerbin.ea:regulation"],
@@ -149,6 +157,17 @@ class TestFormat:
         assert code == 0
         assert err == ""
         assert "Journal of X" in out
+
+    def test_duplicate_key_across_files_has_location(self, tmp_path):
+        first = tmp_path / "k1.bib"
+        first.write_text("@misc{k, title={One}}", encoding="utf-8")
+        second = tmp_path / "k2.bib"
+        second.write_text("% second file\n  @misc{k, title={Two}}",
+                          encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(first), str(second)])
+        assert code == 0
+        assert out == "1. One.\n"
+        assert f"{second}:2:3: warning: duplicate entry key 'k' across files" in err
 
 
 class TestCheck:
@@ -187,6 +206,15 @@ class TestCheck:
         assert code == 0
         assert "flavor" in err
 
+    def test_common_fields_accepted_on_every_type(self, tmp_path):
+        patent = tmp_path / "patent.bib"
+        patent.write_text(
+            "@patent{k, title={T}, number={N1}, year={2000}, note={n}, "
+            "language={Spanish}, key={sort}}", encoding="utf-8")
+        code, _, err = run_check(bib_paths=[str(patent)])
+        assert code == 0
+        assert "unknown-field" not in err
+
 
 class TestScan:
     def test_first_three_lines(self):
@@ -217,8 +245,23 @@ class TestScan:
         code, _, _ = run_scan(tex_path="/no/such/file.tex")
         assert code == 2
 
+    def test_unwritable_out_path_reports_to_given_stream(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "keys.txt"
+        code, out, err = run_scan(tex_path=TEX, out_path=str(target))
+        assert (code, out) == (2, "")
+        assert f"{target}: cannot write" in err
+        assert capsys.readouterr().err == ""
+
 
 class TestMainAndConfig:
+    def test_repeated_key_keeps_first_number(self, tmp_path, capsys):
+        bib = tmp_path / "k.bib"
+        bib.write_text("@article{a, title={T}, journal={J}, year={2000}}",
+                       encoding="utf-8")
+        code = main(["format", "--bib", str(bib), "--keys", "a,a"])
+        assert code == 0
+        assert capsys.readouterr().out == "1. T. J. 2000.\n"
+
     def test_main_format_smoke(self, capsys):
         code = main(["format", "--bib", BIB, "--keys", "filamin"])
         captured = capsys.readouterr()

@@ -252,6 +252,33 @@ class TestRenderReference:
         assert info.value.entry_type is EntryType.ARTICLE
         assert info.value.field == "title"
 
+    @pytest.mark.parametrize("entry_type,fields,missing", [
+        (EntryType.ARTICLE, {}, "title"),
+        (EntryType.ARTICLE, dict(title="T"), "journal"),
+        (EntryType.WEBJOURNAL, dict(title="T", journal="J"), "url"),
+        (EntryType.WEBJOURNAL, dict(url="u"), "title"),
+        (EntryType.WEBJOURNAL, dict(url="u", title="T"), "journal"),
+        (EntryType.CHAPTER, dict(title="T"), "booktitle"),
+        (EntryType.INPROCEEDINGS, dict(booktitle="B"), "title"),
+        (EntryType.PATENT, dict(title="T"), "report_number"),
+        (EntryType.NEWSPAPER, dict(title="T"), "journal"),
+        (EntryType.WEBPAGE, dict(url="u"), "title"),
+        (EntryType.WEBMONOGRAPH, dict(title="T"), "url"),
+        (EntryType.MAP, {}, "title"),
+    ])
+    def test_first_unmet_requirement(self, entry_type, fields, missing):
+        record = BibRecord(key="k", entry_type=entry_type, **fields)
+        with pytest.raises(MissingRequiredField) as info:
+            render_reference(record)
+        assert info.value.field == missing
+        assert str(info.value) == (
+            f"entry type '{entry_type.value}' requires field '{missing}'")
+
+    def test_web_journal_medium_stands_in_for_journal(self):
+        record = BibRecord(key="k", entry_type=EntryType.WEBJOURNAL, title="T",
+                           medium="Internet", url="http://x")
+        assert render_reference(record) == "T. [Internet]. Available from: http://x"
+
     def test_unknown_type_gets_generic_author_title_date(self):
         record = BibRecord(
             key="k", entry_type=EntryType.MISC, title="Some title",
@@ -353,15 +380,6 @@ class TestEtAlTextOverride:
         style = StyleConfig(etal_text="and colleagues")
         text = format_contributors(names_list(9), style)
         assert text.endswith(", and colleagues.")
-
-
-class TestRenderNumbered:
-    def test_references_carry_numbers_and_keys(self, corpus_records):
-        from vanref.render import render_numbered
-        pairs = [(3, corpus_records["filamin"]), (7, corpus_records["mesh"])]
-        refs = render_numbered(pairs)
-        assert [(r.number, r.key) for r in refs] == [(3, "filamin"), (7, "mesh")]
-        assert refs[0].text.startswith("Dorland's")
 
 
 _FIELD_NAMES = [
