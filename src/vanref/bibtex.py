@@ -71,18 +71,23 @@ def _skip_space(text: str, i: int) -> int:
 
 
 def _skip_junk(text: str, i: int) -> int:
-    """Advance past inter-entry free text, honoring %-to-EOL comments."""
-    n = len(text)
-    while i < n:
-        at = text.find("@", i)
-        pct = text.find("%", i)
-        if pct == -1 or (at != -1 and at < pct):
-            return at if at != -1 else n
+    """Advance past inter-entry free text, honoring %-to-EOL comments.
+
+    The next '@' is found once per run of junk and comments are looked for
+    only before it, so each character is scanned a bounded number of times.
+    """
+    at = text.find("@", i)
+    while at != -1:
+        pct = text.find("%", i, at)
+        if pct == -1:
+            return at
         nl = text.find("\n", pct)
         if nl == -1:
-            return n
+            break
         i = nl + 1
-    return n
+        if i > at:  # the comment swallowed that '@'
+            at = text.find("@", i)
+    return len(text)
 
 
 _BRACE_JUMP_RE = re.compile(r"[{}]")

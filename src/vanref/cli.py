@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .bibtex import Database, parse_database
 from .citescan import scan_citations, resolve
-from .diagnostics import Diagnostic, ERROR, error, warning
+from .diagnostics import Diagnostic, ERROR, LineIndex, error, warning
 from .model import TRUE_WORDS, BibRecord, normalize
 from .render import TEMPLATES, RenderError, StyleConfig, render_reference
 
@@ -58,13 +58,13 @@ class _Reporter:
         self.errors = 0
         self.warnings = 0
 
-    def emit(self, diag: Diagnostic, source: str | None = None,
+    def emit(self, diag: Diagnostic, index: LineIndex | None = None,
              path: str | None = None) -> None:
         if diag.severity == ERROR:
             self.errors += 1
         else:
             self.warnings += 1
-        print(diag.render(source, path), file=self.stderr)
+        print(diag.render(index, path), file=self.stderr)
 
     def exit_code(self, strict: bool) -> int:
         if self.errors or (strict and self.warnings):
@@ -72,7 +72,15 @@ class _Reporter:
         return EXIT_OK
 
 
-def _load_databases(paths: list[str], reporter: _Reporter) -> Database | None:
+def _load_databases(paths: list[str], reporter: _Reporter,
+                    sources: list[tuple[LineIndex, str]] | None = None
+                    ) -> Database | None:
+    """Parse and merge ``paths``.
+
+    ``sources``, when given, receives each merged entry's line index and
+    path.  An index holds its file's text, so only a caller that locates
+    entries after loading asks for them.
+    """
     merged = Database()
     seen: set[str] = set()
     for path in paths:
@@ -83,8 +91,9 @@ def _load_databases(paths: list[str], reporter: _Reporter) -> Database | None:
             return None
         # macros accumulate across files, like one long database
         db = parse_database(text, macros=merged.macros)
+        source = (LineIndex(text), path)
         for diag in db.diagnostics:
-            reporter.emit(diag, text, path)
+            reporter.emit(diag, *source)
         merged.macros.update(db.macros)
         for entry in db.entries:
             if entry.key in seen:
@@ -92,10 +101,12 @@ def _load_databases(paths: list[str], reporter: _Reporter) -> Database | None:
                     "duplicate-key",
                     f"duplicate entry key '{entry.key}' across files",
                     entry.span[0]),
-                    text, path)
+                    *source)
             else:
                 seen.add(entry.key)
                 merged.entries.append(entry)
+                if sources is not None:
+                    sources.append(source)
     return merged
 
 
@@ -145,16 +156,20 @@ def cmd_format(config: RunConfig, stdout=None, stderr=None) -> int:
     records = _normalize_all(db, reporter)
     style = config.style()
 
+    cites: tuple[tuple[str, int], ...] = ()
+    tex_lines = None
     if config.tex_path is not None:
         try:
             tex = _read_file(config.tex_path)
         except (OSError, UnicodeDecodeError) as exc:
             print(f"{config.tex_path}: cannot read: {exc}", file=reporter.stderr)
             return EXIT_IO
+        tex_lines = LineIndex(tex)
         index = scan_citations(tex)
         for diag in index.diagnostics:
-            reporter.emit(diag, tex, config.tex_path)
+            reporter.emit(diag, tex_lines, config.tex_path)
         keys = index.keys
+        cites = index.occurrences
     elif config.keys is not None:
         if not config.keys:
             print("no keys", file=reporter.stderr)
@@ -164,8 +179,12 @@ def cmd_format(config: RunConfig, stdout=None, stderr=None) -> int:
         keys = [record.key for record in records]
 
     pairs, missing = resolve(keys, records)
+    # a missing key points at its first \cite; reversed, the first one wins
+    first_cite = dict(reversed(cites)) if missing else {}
     for key in missing:
-        reporter.emit(warning("missing-key", f"no database entry for '{key}'"))
+        reporter.emit(warning("missing-key", f"no database entry for '{key}'",
+                              first_cite.get(key)),
+                      tex_lines, config.tex_path)
     lines = []
     for number, record in pairs:
         try:
@@ -187,12 +206,13 @@ def cmd_check(config: RunConfig, stdout=None, stderr=None) -> int:
     if not config.bib_paths:
         print("no bibliography files given", file=reporter.stderr)
         return EXIT_IO
-    db = _load_databases(config.bib_paths, reporter)
+    sources: list[tuple[LineIndex, str]] = []
+    db = _load_databases(config.bib_paths, reporter, sources)
     if db is None:
         return EXIT_IO
     style = config.style()
     checked = 0
-    for entry in db.entries:
+    for entry, source in zip(db.entries, sources):
         record, diags = normalize(entry)
         for diag in diags:
             reporter.emit(diag)
@@ -203,7 +223,7 @@ def cmd_check(config: RunConfig, stdout=None, stderr=None) -> int:
                     "unknown-field",
                     f"entry '{entry.key}': field '{name}' not used by "
                     f"entry type '{record.entry_type.value}'",
-                    entry.span[0]))
+                    entry.span[0]), *source)
         try:
             render_reference(record, style)
         except RenderError as exc:
@@ -227,8 +247,9 @@ def cmd_scan(config: RunConfig, stdout=None, stderr=None) -> int:
         print(f"{config.tex_path}: cannot read: {exc}", file=reporter.stderr)
         return EXIT_IO
     index = scan_citations(tex)
+    tex_lines = LineIndex(tex)
     for diag in index.diagnostics:
-        reporter.emit(diag, tex, config.tex_path)
+        reporter.emit(diag, tex_lines, config.tex_path)
     lines = [f"{number} {key}" for number, key in enumerate(index.keys, start=1)]
     if not _write_lines(lines, config.out_path, stdout, reporter.stderr):
         return EXIT_IO

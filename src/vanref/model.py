@@ -522,8 +522,12 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     def plain(name: str) -> str:
         return strip_latex(f[name], diags) if name in f else ""
 
+    def verbatim(name: str) -> str:
+        """A field printed as written, with whitespace runs collapsed."""
+        return " ".join(f[name].split()) if name in f else ""
+
     def date_of(name: str) -> PartialDate | None:
-        return parse_date(f[name], diags) if name in f else None
+        return parse_date(verbatim(name), diags) if name in f else None
 
     contributors: list[ContributorList] = []
     for field_name, role in _ROLE_FIELDS:
@@ -541,7 +545,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
 
     date = date_of("date")
     if date is None and "year" in f:
-        year_text = f["year"].strip()
+        year_text = verbatim("year")
         month = parse_month(f["month"]) if "month" in f else None
         if "month" in f and month is None:
             diags.append(warning(
@@ -627,7 +631,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         contract_number=plain("contract"),
         article_type=plain("articletype"),
         language_note=plain("language"),
-        url=f.get("url", "").strip(),
+        url=verbatim("url"),
         medium=plain("medium"),
         updated=date_of("updated"),
         cited=date_of("lastchecked"),

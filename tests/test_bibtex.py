@@ -1,14 +1,32 @@
 """Parser behavior: lexing, macros, recovery, round-trips."""
 
+import time
+
 from hypothesis import given, strategies as st
 
 from vanref.bibtex import (
     MONTH_MACROS,
     RawEntry,
+    _skip_junk,
     parse_database,
     serialize_database,
     strip_latex,
 )
+
+
+def skip_junk_reference(text, i):
+    """The former ``_skip_junk``: it searches for '@' again after every comment."""
+    n = len(text)
+    while i < n:
+        at = text.find("@", i)
+        pct = text.find("%", i)
+        if pct == -1 or (at != -1 and at < pct):
+            return at if at != -1 else n
+        nl = text.find("\n", pct)
+        if nl == -1:
+            return n
+        i = nl + 1
+    return n
 
 
 def single_value(text):
@@ -147,6 +165,20 @@ class TestParseDatabase:
         db = parse_database(text)
         for diag in db.diagnostics:
             assert diag.offset is not None
+
+    @given(st.text(alphabet="ab\n%@ ", max_size=40))
+    def test_skip_junk_matches_reference_at_every_start(self, text):
+        for i in range(len(text) + 2):
+            assert _skip_junk(text, i) == skip_junk_reference(text, i)
+
+    def test_long_comment_run_parses_in_linear_time(self):
+        text = "% comment line\n" * 100_000 + "@misc{k, title={T}}"
+        started = time.perf_counter()
+        db = parse_database(text)
+        elapsed = time.perf_counter() - started
+        assert [e.key for e in db.entries] == ["k"]
+        assert db.diagnostics == []
+        assert elapsed < 1.0
 
 
 class TestRoundTrip:

@@ -1,11 +1,13 @@
 """Command-line behavior: modes, exit codes, stream separation, config."""
 
 import io
+import time
 from pathlib import Path
 
 import pytest
 
 from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
+from vanref.diagnostics import Diagnostic
 
 DATA_DIR = Path(__file__).parent / "data"
 BIB_PATH = DATA_DIR / "vancouver.bib"
@@ -83,9 +85,22 @@ class TestFormat:
         code, out, err = run_format(bib_paths=[BIB],
                                     keys=["uniform", "nope", "mesh"])
         assert code == 0
-        assert "nope" in err
+        assert err == "warning: no database entry for 'nope' [missing-key]\n"
         numbers = [line.split(".")[0] for line in out.splitlines()]
         assert numbers == ["1", "3"]
+
+    def test_missing_key_points_at_its_first_cite(self, tmp_path):
+        bib = tmp_path / "one.bib"
+        bib.write_text("@book{first, title={Alpha}, publisher={P}, year={2000}}",
+                       encoding="utf-8")
+        tex = tmp_path / "paper.tex"
+        tex.write_text("Intro \\cite{first}.\n\n\\cite{nope} and \\cite{nope}.\n",
+                       encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(bib)], tex_path=str(tex))
+        assert code == 0
+        assert out == "1. Alpha. P; 2000.\n"
+        assert err == (f"{tex}:3:1: warning: no database entry for 'nope' "
+                       "[missing-key]\n")
 
     def test_missing_key_fails_in_strict_mode(self):
         code, _, _ = run_format(bib_paths=[BIB], keys=["nope"], strict=True)
@@ -205,6 +220,44 @@ class TestCheck:
         code, _, err = run_check(bib_paths=[str(odd)])
         assert code == 0
         assert "flavor" in err
+
+    def test_unknown_field_is_located_in_its_own_file(self, tmp_path):
+        first = tmp_path / "ok.bib"
+        first.write_text("@misc{a, title={One}, year={2000}}\n", encoding="utf-8")
+        second = tmp_path / "uf.bib"
+        second.write_text(
+            "% colours\n@article{k, title={T}, journal={J}, year={2000},\n"
+            "  colour={red}}\n", encoding="utf-8")
+        code, _, err = run_check(bib_paths=[str(first), str(second)])
+        assert code == 0
+        assert err == (f"{second}:2:1: warning: entry 'k': field 'colour' not "
+                       "used by entry type 'article' [unknown-field]\n")
+
+    def test_ten_thousand_diagnostics_render_in_linear_time(
+            self, tmp_path, monkeypatch):
+        dups = 10_000
+        bib = tmp_path / "dups.bib"
+        entry = "@misc{dup,\n  title={T}, year={2000},\n  note={" + "x" * 300 + "}}\n"
+        bib.write_text(entry * (dups + 1), encoding="utf-8")
+        spent = []
+        render = Diagnostic.render
+
+        def timed_render(self, *args):
+            started = time.perf_counter()
+            try:
+                return render(self, *args)
+            finally:
+                spent.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(Diagnostic, "render", timed_render)
+        code, out, err = run_check(bib_paths=[str(bib)])
+        assert code == 0
+        assert out == f"checked 1 entries: 0 errors, {dups} warnings\n"
+        assert err.splitlines()[-1] == (
+            f"{bib}:{3 * dups + 1}:1: warning: duplicate entry key 'dup'; "
+            "first occurrence kept [duplicate-key]")
+        assert len(spent) == dups
+        assert sum(spent) < 1.0
 
     def test_common_fields_accepted_on_every_type(self, tmp_path):
         patent = tmp_path / "patent.bib"

@@ -265,6 +265,13 @@ class TestNormalize:
         assert record.date is None
         assert any(d.code == "missing-date" for d in diags)
 
+    def test_verbatim_fields_collapse_whitespace_runs(self):
+        record, _ = normalize(raw("misc", title="t", year=" in  press ",
+                                  url="http://x/a  b", lastchecked="some\n day"))
+        assert record.date.year == "in press"
+        assert record.url == "http://x/a b"
+        assert record.cited.raw == "some day"
+
     def test_bad_name_field_is_error_not_crash(self):
         record, diags = normalize(
             raw("article", author="and", title="t", journal="j"))
