@@ -11,7 +11,9 @@ from .model import BibRecord
 
 _CITE_RE = re.compile(r"\\cite\s*\{([^{}]*)\}")
 _KEY_RE = re.compile(r"[A-Za-z0-9.:*+/_-]+")
-_COMMENT_RE = re.compile(r"(?<!\\)%[^\n]*")
+# ``\\`` and ``\%`` are matched as pairs, so a backslash escapes only the
+# character after it; any other ``%`` starts a comment that runs to the line end.
+_COMMENT_RE = re.compile(r"\\[\\%]|%[^\n]*")
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,10 @@ class CitationIndex:
 
 def _blank_comments(text: str) -> str:
     """Replace %-to-EOL comments with spaces so offsets stay stable."""
-    return _COMMENT_RE.sub(lambda m: " " * len(m.group(0)), text)
+    def blank(match: re.Match) -> str:
+        found = match.group(0)
+        return found if found[0] == "\\" else " " * len(found)
+    return _COMMENT_RE.sub(blank, text)
 
 
 def scan_citations(text: str) -> CitationIndex:

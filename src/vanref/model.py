@@ -187,53 +187,54 @@ class BibRecord:
 # ---------------------------------------------------------------------------
 # contributor names
 
-def _split_depth0(value: str) -> list[str]:
-    """Split into whitespace-separated words at brace depth zero."""
+def _scan_names(value: str) -> list[tuple[list[str], list[list[str]]]]:
+    """Split a name field in one pass at brace depth zero.
+
+    Each name between ``and`` words comes back as its whitespace words and
+    as the same text cut at commas into lists of words.  Depth never drops
+    below zero; an unclosed brace runs to the end of the field.
+    """
+    names: list[tuple[list[str], list[list[str]]]] = []
     words: list[str] = []
+    parts: list[list[str]] = [[]]
     depth = 0
-    current: list[str] = []
-    for c in value:
+    start = cut = -1  # current word start, start of its current comma part
+
+    def end_word(end: int) -> None:
+        nonlocal words, parts
+        word = value[start:end]
+        if word.lower() == "and":
+            names.append((words, parts))
+            words, parts = [], [[]]
+            return
+        words.append(word)
+        if cut < end:
+            parts[-1].append(value[cut:end])
+
+    for i, c in enumerate(value):
         if c == "{":
             depth += 1
         elif c == "}":
-            depth = max(0, depth - 1)
-        if c.isspace() and depth == 0:
-            if current:
-                words.append("".join(current))
-                current = []
-        else:
-            current.append(c)
-    if current:
-        words.append("".join(current))
-    return words
-
-
-def _split_commas_depth0(words: list[str]) -> list[list[str]]:
-    """Regroup words into comma-separated parts (commas at depth zero)."""
-    parts: list[list[str]] = [[]]
-    for word in words:
-        pending = word
-        while True:
-            depth = 0
-            cut = -1
-            for i, c in enumerate(pending):
-                if c == "{":
-                    depth += 1
-                elif c == "}":
-                    depth = max(0, depth - 1)
-                elif c == "," and depth == 0:
-                    cut = i
-                    break
-            if cut == -1:
-                if pending:
-                    parts[-1].append(pending)
-                break
-            head = pending[:cut]
-            if head:
-                parts[-1].append(head)
+            depth = depth - 1 if depth else 0
+        elif depth == 0 and c.isspace():
+            if start >= 0:
+                end_word(i)
+                start = -1
+            continue
+        elif depth == 0 and c == ",":
+            if start < 0:
+                start = i
+            elif cut < i:
+                parts[-1].append(value[cut:i])
             parts.append([])
-            pending = pending[cut + 1:]
-    return parts
+            cut = i + 1
+            continue
+        if start < 0:
+            start = cut = i
+    if start >= 0:
+        end_word(len(value))
+    names.append((words, parts))
+    return names
 
 
 def _is_lower_word(word: str) -> bool:
@@ -261,23 +262,15 @@ def _person_from_parts(first: list[str], von: list[str], last: list[str],
 
 def _split_von_last(words: list[str]) -> tuple[list[str], list[str]]:
     """Split ``von Last`` words: the particle runs to the last lowercase word."""
-    for i, w in enumerate(words[:-1]):
-        if _is_lower_word(w):
-            von_start = i
-            break
-    else:
+    lowers = [i for i, w in enumerate(words[:-1]) if _is_lower_word(w)]
+    if not lowers:
         return [], words
-    von_end = von_start
-    for i in range(von_start, len(words) - 1):
-        if _is_lower_word(words[i]):
-            von_end = i
-    return words[von_start:von_end + 1], words[von_end + 1:]
+    return words[lowers[0]:lowers[-1] + 1], words[lowers[-1] + 1:]
 
 
-def _parse_one_name(piece: str) -> PersonName:
-    stripped = piece.strip()
-    if stripped.startswith("{") and stripped.endswith("}"):
-        inner, depth = stripped[1:-1], 0
+def _parse_one_name(words: list[str], parts: list[list[str]]) -> PersonName:
+    if len(words) == 1 and words[0][0] == "{" and words[0][-1] == "}":
+        inner, depth = words[0][1:-1], 0
         for c in inner:  # the outer braces must be one group
             depth += c == "{"
             depth -= c == "}"
@@ -286,17 +279,12 @@ def _parse_one_name(piece: str) -> PersonName:
         else:
             if depth == 0:
                 return PersonName(literal=strip_latex(inner))
-    words = _split_depth0(stripped)
-    parts = _split_commas_depth0(words)
-    if len(parts) == 1:
+    if len(parts) == 1:  # First von Last
         tokens = parts[0]
-        if len(tokens) == 1:
-            return _person_from_parts([], [], tokens, [])
-        lowers = [i for i, w in enumerate(tokens) if _is_lower_word(w)]
-        if not lowers or lowers == [len(tokens) - 1]:
-            return _person_from_parts(tokens[:-1], [], tokens[-1:], [])
-        von, last = _split_von_last(tokens[lowers[0]:])
-        return _person_from_parts(tokens[:lowers[0]], von, last, [])
+        i = next((i for i, w in enumerate(tokens[:-1]) if _is_lower_word(w)),
+                 len(tokens) - 1)
+        von, last = _split_von_last(tokens[i:])
+        return _person_from_parts(tokens[:i], von, last, [])
     left = parts[0]
     if left and _is_lower_word(left[0]):
         von, last = _split_von_last(left)
@@ -316,23 +304,17 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
     forms; a fully braced name is taken as a corporate literal.  A trailing
     ``and others`` sets the truncation flag.
     """
-    words = _split_depth0(value)
-    pieces: list[list[str]] = [[]]
-    for word in words:
-        if word.lower() == "and":
-            pieces.append([])
-        else:
-            pieces[-1].append(word)
-    truncated = False
-    if pieces and len(pieces[-1]) == 1 and pieces[-1][0].lower() == "others":
-        truncated = True
+    pieces = _scan_names(value)
+    last_words = pieces[-1][0]
+    truncated = len(last_words) == 1 and last_words[0].lower() == "others"
+    if truncated:
         pieces.pop()
     names = []
-    for index, piece in enumerate(pieces):
-        if not piece:
+    for index, (words, parts) in enumerate(pieces):
+        if not words:
             raise NameParseError(f"empty name at position {index}", index)
         try:
-            names.append(_parse_one_name(" ".join(piece)))
+            names.append(_parse_one_name(words, parts))
         except ValueError as exc:
             raise NameParseError(
                 f"unusable name at position {index}: {exc}", index) from exc

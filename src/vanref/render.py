@@ -23,22 +23,18 @@ from .model import (
     initials,
 )
 
-DEFAULT_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
-                  "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
 @dataclass(frozen=True)
 class StyleConfig:
     max_authors_before_etal: int = 6
     etal_text: str = "et al."
-    month_names: tuple[str, ...] = DEFAULT_MONTHS
-    compress_pages: bool = True
 
     def __post_init__(self):
         if self.max_authors_before_etal < 1:
             raise ValueError("max_authors_before_etal must be at least 1")
-        if len(self.month_names) != 12:
-            raise ValueError("month_names must hold twelve entries")
 
 
 DEFAULT_STYLE = StyleConfig()
@@ -103,7 +99,7 @@ def compress_page_range(first: str, last: str) -> str:
     return f"{first}-{last[i:]}"
 
 
-def format_pages(extent: PageExtent, style: StyleConfig = DEFAULT_STYLE) -> str:
+def format_pages(extent: PageExtent) -> str:
     """Render a page extent; only numeric ranges are ever compressed."""
     if extent.kind is PageKind.TEXT:
         return extent.text
@@ -111,18 +107,16 @@ def format_pages(extent: PageExtent, style: StyleConfig = DEFAULT_STYLE) -> str:
         return extent.first
     if extent.kind is PageKind.ROMAN_RANGE:
         return f"{extent.first}-{extent.last}"
-    if not style.compress_pages:
-        return f"{extent.first}-{extent.last}"
     return compress_page_range(extent.first, complete_page(extent.first, extent.last))
 
 
-def format_date(date: PartialDate, style: StyleConfig = DEFAULT_STYLE) -> str:
+def format_date(date: PartialDate) -> str:
     """``YYYY[ Mon[ D[-D]]]`` with a ``c`` copyright prefix; raw wins."""
     if date.raw:
         return date.raw
     out = ("c" if date.circa else "") + str(date.year)
     if date.month:
-        out += f" {style.month_names[date.month - 1]}"
+        out += f" {_MONTHS[date.month - 1]}"
         if date.day:
             out += f" {date.day}"
             if date.day_end:
@@ -132,7 +126,7 @@ def format_date(date: PartialDate, style: StyleConfig = DEFAULT_STYLE) -> str:
     return out
 
 
-def format_name(name: PersonName, style: StyleConfig = DEFAULT_STYLE) -> str:
+def format_name(name: PersonName) -> str:
     """``[particle ]Family II[ suffix]``; corporate literals pass verbatim."""
     if name.literal:
         return name.literal
@@ -144,15 +138,6 @@ def format_name(name: PersonName, style: StyleConfig = DEFAULT_STYLE) -> str:
     if name.suffix:
         out += f" {name.suffix}"
     return out
-
-
-_ROLE_LABELS = {
-    Role.EDITOR: "editor",
-    Role.COMPILER: "compiler",
-    Role.INVENTOR: "inventor",
-    Role.ASSIGNEE: "assignee",
-    Role.CARTOGRAPHER: "cartographer",
-}
 
 
 def _join_names(rendered: list[str], literal_flags: list[bool]) -> str:
@@ -176,14 +161,14 @@ def format_contributors(lists: tuple[ContributorList, ...] | list[ContributorLis
     for contributor_list in lists:
         names = list(contributor_list.names)
         shown = names[:style.max_authors_before_etal]
-        rendered = [format_name(n, style) for n in shown]
+        rendered = [format_name(n) for n in shown]
         flags = [bool(n.literal) for n in shown]
         body = _join_names(rendered, flags)
         if contributor_list.truncated or len(names) > style.max_authors_before_etal:
             body += f", {style.etal_text}"
-        label = _ROLE_LABELS.get(contributor_list.role)
-        if label:
-            body += f", {label}" + ("s" if len(names) > 1 else "")
+        role = contributor_list.role
+        if role not in (Role.AUTHOR, Role.ORGANIZATION):
+            body += f", {role.value}" + ("s" if len(names) > 1 else "")
         blocks.append(body)
     out = "; ".join(blocks)
     if affiliation:
@@ -241,13 +226,13 @@ def _date_locator_pages(date_str: str, locator: str, pages: str) -> str:
     return _sentence(out)
 
 
-def _imprint(rec: BibRecord, style: StyleConfig, date_block: str = "") -> str:
+def _imprint(rec: BibRecord, date_block: str = "") -> str:
     """``Place: Publisher; date.`` with the record's publisher/date separator."""
     out = rec.place
     if rec.publisher:
         out = f"{out}: {rec.publisher}" if out else rec.publisher
     if not date_block and rec.date is not None:
-        date_block = format_date(rec.date, style)
+        date_block = format_date(rec.date)
     if date_block:
         if not out:
             out = date_block
@@ -258,22 +243,22 @@ def _imprint(rec: BibRecord, style: StyleConfig, date_block: str = "") -> str:
     return _sentence(out)
 
 
-def _web_date_block(rec: BibRecord, style: StyleConfig) -> str:
+def _web_date_block(rec: BibRecord) -> str:
     """Date plus the ``[updated ...; cited ...]`` bracket, either part optional."""
     parts = []
     if rec.updated is not None:
-        parts.append("updated " + format_date(rec.updated, style))
+        parts.append("updated " + format_date(rec.updated))
     if rec.cited is not None:
-        parts.append("cited " + format_date(rec.cited, style))
+        parts.append("cited " + format_date(rec.cited))
     bracket = f"[{'; '.join(parts)}]" if parts else ""
-    date_str = format_date(rec.date, style) if rec.date is not None else ""
+    date_str = format_date(rec.date) if rec.date is not None else ""
     return _join([date_str, bracket])
 
 
-def _year_text(rec: BibRecord, style: StyleConfig) -> str:
+def _year_text(rec: BibRecord) -> str:
     if rec.date is None:
         return ""
-    return format_date(replace(rec.date, month=None, day=None, day_end=None), style)
+    return format_date(replace(rec.date, month=None, day=None, day_end=None))
 
 
 def _part_extent(rec: BibRecord) -> str:
@@ -303,21 +288,21 @@ def _render_article(rec: BibRecord, style: StyleConfig) -> str:
         _sentence(rec.journal),
     ]
     if rec.in_press:
-        segments.append(_sentence(_join(["In press", _year_text(rec, style)])))
+        segments.append(_sentence(_join(["In press", _year_text(rec)])))
     else:
         effective = rec
         if rec.continuous_pagination:
             effective = replace(rec, issue="", issue_supplement="", issue_part="")
-        date_str = (_year_text(rec, style) if rec.continuous_pagination
-                    else format_date(rec.date, style) if rec.date is not None else "")
+        date_str = (_year_text(rec) if rec.continuous_pagination
+                    else format_date(rec.date) if rec.date is not None else "")
         if rec.entry_type is EntryType.WEBJOURNAL:
-            date_str = _web_date_block(rec, style)
+            date_str = _web_date_block(rec)
         locator = format_journal_locator(effective)
-        pages = format_pages(rec.pages, style) if rec.pages else ""
+        pages = format_pages(rec.pages) if rec.pages else ""
         if date_str or locator or pages:
             segments.append(_date_locator_pages(date_str, locator, pages))
     if rec.date_epub is not None:
-        segments.append(_sentence("Epub " + format_date(rec.date_epub, style)))
+        segments.append(_sentence("Epub " + format_date(rec.date_epub)))
     segments.extend(_note_segments(rec))
     return _join(segments)
 
@@ -355,7 +340,7 @@ def _render_book(rec: BibRecord, style: StyleConfig) -> str:
         _sentence(rec.title),
         _sentence(rec.edition),
         _secondary_editor_block(rec, style),
-        _imprint(rec, style),
+        _imprint(rec),
     ])
 
 
@@ -364,7 +349,7 @@ def _render_dictionary(rec: BibRecord, style: StyleConfig) -> str:
         _book_contributors(rec, style),
         _sentence(rec.title),
         _sentence(rec.edition),
-        _imprint(rec, style),
+        _imprint(rec),
     ]
     if rec.defined_term:
         term = rec.defined_term
@@ -374,10 +359,10 @@ def _render_dictionary(rec: BibRecord, style: StyleConfig) -> str:
     return _join(segments)
 
 
-def _conference_line(rec: BibRecord, style: StyleConfig) -> str:
+def _conference_line(rec: BibRecord) -> str:
     parts = [rec.conference_name]
     if rec.conference_date is not None:
-        parts.append(format_date(rec.conference_date, style))
+        parts.append(format_date(rec.conference_date))
     if rec.conference_place:
         parts.append(rec.conference_place)
     return _sentence("; ".join(p for p in parts if p))
@@ -388,16 +373,16 @@ def _render_chapter(rec: BibRecord, style: StyleConfig) -> str:
     in_block = "In: " + _join([
         format_contributors(editors, style) if editors else "",
         _sentence(rec.booktitle),
-        _conference_line(rec, style) if rec.conference_name else "",
+        _conference_line(rec) if rec.conference_name else "",
     ])
     segments = [
         _primary_contributors(rec, style),
         _sentence(rec.title),
         in_block,
-        _imprint(rec, style),
+        _imprint(rec),
     ]
     if rec.pages is not None:
-        segments.append(_sentence(f"p. {format_pages(rec.pages, style)}"))
+        segments.append(_sentence(f"p. {format_pages(rec.pages)}"))
     return _join(segments)
 
 
@@ -405,8 +390,8 @@ def _render_proceedings(rec: BibRecord, style: StyleConfig) -> str:
     return _join([
         _book_contributors(rec, style),
         _sentence(rec.title),
-        _conference_line(rec, style) if rec.conference_name else "",
-        _imprint(rec, style),
+        _conference_line(rec) if rec.conference_name else "",
+        _imprint(rec),
     ])
 
 
@@ -415,7 +400,7 @@ def _render_techreport(rec: BibRecord, style: StyleConfig) -> str:
         _primary_contributors(rec, style, affiliation=rec.affiliation),
         _sentence(rec.title),
         _sentence(rec.report_type),
-        _imprint(rec, style),
+        _imprint(rec),
     ]
     if rec.report_number:
         segments.append(_sentence(f"Report No.: {rec.report_number}"))
@@ -441,7 +426,7 @@ def _render_media_monograph(rec: BibRecord, style: StyleConfig) -> str:
     return _join([
         format_contributors(contributors, style) if contributors else "",
         _bracketed_title(rec, bracket),
-        _imprint(rec, style),
+        _imprint(rec),
     ])
 
 
@@ -452,19 +437,16 @@ def _render_patent(rec: BibRecord, style: StyleConfig) -> str:
         format_contributors(people, style) if people else "",
         _sentence(rec.title),
         _sentence(number_line),
-        _sentence(format_date(rec.date, style)) if rec.date is not None else "",
+        _sentence(format_date(rec.date)) if rec.date is not None else "",
     ])
 
 
 def _render_newspaper(rec: BibRecord, style: StyleConfig) -> str:
-    date_str = format_date(rec.date, style) if rec.date is not None else ""
-    locator = date_str
+    locator = format_date(rec.date) if rec.date is not None else ""
     if rec.section:
         locator += f";Sect. {rec.section}"
-        if rec.pages is not None:
-            locator += f":{format_pages(rec.pages, style)}"
-    elif rec.pages is not None:
-        locator += f":{format_pages(rec.pages, style)}"
+    if rec.pages is not None:
+        locator += f":{format_pages(rec.pages)}"
     if rec.column:
         locator += f" (col. {rec.column})"
     return _join([
@@ -481,7 +463,7 @@ def _render_web_monograph(rec: BibRecord, style: StyleConfig) -> str:
         _book_contributors(rec, style),
         _bracketed_title(rec, bracket),
         _sentence(rec.edition),
-        _imprint(rec, style, date_block=_web_date_block(rec, style)),
+        _imprint(rec, date_block=_web_date_block(rec)),
         _part_extent(rec),
         "Available from:",
         rec.url,
@@ -493,7 +475,7 @@ def _render_generic(rec: BibRecord, style: StyleConfig) -> str:
     segments = [
         _book_contributors(rec, style),
         _sentence(rec.title),
-        _imprint(rec, style),
+        _imprint(rec),
     ]
     if rec.url:
         segments += ["Available from:", rec.url]

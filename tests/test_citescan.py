@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from vanref.citescan import resolve, scan_citations
+from vanref.citescan import _blank_comments, resolve, scan_citations
 from vanref.model import BibRecord, EntryType
 
 
@@ -41,6 +41,29 @@ class TestScanCitations:
     def test_escaped_percent_does_not_start_comment(self):
         index = scan_citations("100\\% sure\\cite{x}")
         assert index.keys == ("x",)
+
+    def test_percent_after_escaped_backslash_starts_comment(self):
+        text = "a \\\\% \\cite{b}\nc\\cite{c}"
+        index = scan_citations(text)
+        assert index.keys == ("c",)
+        assert index.occurrences == (("c", text.index("\\cite{c}")),)
+
+    def test_escaped_percent_before_cite_is_scanned(self):
+        index = scan_citations("\\% \\cite{b}")
+        assert index.keys == ("b",)
+
+    @given(st.text(alphabet="\\%a\n", max_size=40))
+    def test_comment_blanking_matches_backslash_parity(self, text):
+        expected, escaped, in_comment = [], False, False
+        for c in text:
+            in_comment = in_comment and c != "\n"
+            if in_comment or (c == "%" and not escaped):
+                in_comment = True
+                expected.append(" ")
+            else:
+                expected.append(c)
+            escaped = c == "\\" and not escaped
+        assert _blank_comments(text) == "".join(expected)
 
     def test_cite_variants_are_not_recognized(self):
         index = scan_citations("\\citep{x}\\citet{y}\\citeauthor{z}")

@@ -1,13 +1,15 @@
 """Name, date, page and entry-type normalization."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from vanref.bibtex import RawEntry
+from vanref.bibtex import RawEntry, strip_latex
 from vanref.model import (
+    ContributorList,
     EntryType,
     NameParseError,
     PageKind,
+    PersonName,
     Role,
     initials,
     map_entry_type,
@@ -16,6 +18,141 @@ from vanref.model import (
     parse_names,
     parse_pages,
 )
+from vanref.model import _is_lower_word, _person_from_parts
+
+
+# Reference for the name parser: the earlier two-pass version, which split
+# the field into words, joined each name's words back into a string and
+# split that string again, once at spaces and once at commas.
+
+def _ref_split_depth0(value):
+    words = []
+    depth = 0
+    current = []
+    for c in value:
+        if c == "{":
+            depth += 1
+        elif c == "}":
+            depth = max(0, depth - 1)
+        if c.isspace() and depth == 0:
+            if current:
+                words.append("".join(current))
+                current = []
+        else:
+            current.append(c)
+    if current:
+        words.append("".join(current))
+    return words
+
+
+def _ref_split_commas_depth0(words):
+    parts = [[]]
+    for word in words:
+        pending = word
+        while True:
+            depth = 0
+            cut = -1
+            for i, c in enumerate(pending):
+                if c == "{":
+                    depth += 1
+                elif c == "}":
+                    depth = max(0, depth - 1)
+                elif c == "," and depth == 0:
+                    cut = i
+                    break
+            if cut == -1:
+                if pending:
+                    parts[-1].append(pending)
+                break
+            head = pending[:cut]
+            if head:
+                parts[-1].append(head)
+            parts.append([])
+            pending = pending[cut + 1:]
+    return parts
+
+
+def _ref_split_von_last(words):
+    for i, w in enumerate(words[:-1]):
+        if _is_lower_word(w):
+            von_start = i
+            break
+    else:
+        return [], words
+    von_end = von_start
+    for i in range(von_start, len(words) - 1):
+        if _is_lower_word(words[i]):
+            von_end = i
+    return words[von_start:von_end + 1], words[von_end + 1:]
+
+
+def _ref_parse_one_name(piece):
+    stripped = piece.strip()
+    if stripped.startswith("{") and stripped.endswith("}"):
+        inner, depth = stripped[1:-1], 0
+        for c in inner:
+            depth += c == "{"
+            depth -= c == "}"
+            if depth < 0:
+                break
+        else:
+            if depth == 0:
+                return PersonName(literal=strip_latex(inner))
+    words = _ref_split_depth0(stripped)
+    parts = _ref_split_commas_depth0(words)
+    if len(parts) == 1:
+        tokens = parts[0]
+        if len(tokens) == 1:
+            return _person_from_parts([], [], tokens, [])
+        lowers = [i for i, w in enumerate(tokens) if _is_lower_word(w)]
+        if not lowers or lowers == [len(tokens) - 1]:
+            return _person_from_parts(tokens[:-1], [], tokens[-1:], [])
+        von, last = _ref_split_von_last(tokens[lowers[0]:])
+        return _person_from_parts(tokens[:lowers[0]], von, last, [])
+    left = parts[0]
+    if left and _is_lower_word(left[0]):
+        von, last = _ref_split_von_last(left)
+    else:
+        von, last = [], left
+    if len(parts) == 2:
+        return _person_from_parts(parts[1], von, last, [])
+    first = [w for grp in parts[2:] for w in grp]
+    return _person_from_parts(first, von, last, parts[1])
+
+
+def _ref_parse_names(value):
+    words = _ref_split_depth0(value)
+    pieces = [[]]
+    for word in words:
+        if word.lower() == "and":
+            pieces.append([])
+        else:
+            pieces[-1].append(word)
+    truncated = False
+    if pieces and len(pieces[-1]) == 1 and pieces[-1][0].lower() == "others":
+        truncated = True
+        pieces.pop()
+    names = []
+    for index, piece in enumerate(pieces):
+        if not piece:
+            raise NameParseError(f"empty name at position {index}", index)
+        try:
+            names.append(_ref_parse_one_name(" ".join(piece)))
+        except ValueError as exc:
+            raise NameParseError(
+                f"unusable name at position {index}: {exc}", index) from exc
+    return ContributorList(tuple(names), truncated=truncated)
+
+
+def _outcome(parse, value):
+    """A parse result, or the type, message and index of what it raised."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+_NAME_ALPHABET = " ,{}aAnNdDoOtThHeErRsSvV\\\t\n\x1c\xa0-."
 
 
 class TestParseNames:
@@ -79,6 +216,17 @@ class TestParseNames:
                         written = f"{left},{middle} {name.given}"
                     again = parse_names(written).names[0]
                     assert again == name, written
+
+    @given(st.text(alphabet=_NAME_ALPHABET) | st.text())
+    @example("{")
+    @example("and,")
+    @example("{A and B}")
+    @example("x and others")
+    @example("and")
+    @example("} A {B and C")
+    @example("a\x1cb")
+    def test_one_pass_split_matches_two_pass_reference(self, value):
+        assert _outcome(parse_names, value) == _outcome(_ref_parse_names, value)
 
 
 class TestInitials:

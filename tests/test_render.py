@@ -183,10 +183,6 @@ class TestFormatDate:
     def test_open_ended(self):
         assert format_date(PartialDate(2000, circa=True, open_ended=True)) == "c2000 -"
 
-    def test_custom_month_names(self):
-        style = StyleConfig(month_names=tuple("ABCDEFGHIJKL"))
-        assert format_date(PartialDate(2002, 7), style) == "2002 G"
-
 
 def journal_record(**overrides):
     base = dict(
@@ -350,10 +346,6 @@ class TestFormatPages:
     def test_full_range_compressed(self):
         assert format_pages(parse_pages("1151-1168")) == "1151-68"
 
-    def test_compression_can_be_disabled(self):
-        style = StyleConfig(compress_pages=False)
-        assert format_pages(parse_pages("284-287"), style) == "284-287"
-
     def test_text_verbatim(self):
         assert format_pages(parse_pages("[about 3 p.]")) == "[about 3 p.]"
 
@@ -362,10 +354,6 @@ class TestStyleConfig:
     def test_rejects_zero_authors(self):
         with pytest.raises(ValueError):
             StyleConfig(max_authors_before_etal=0)
-
-    def test_rejects_wrong_month_count(self):
-        with pytest.raises(ValueError):
-            StyleConfig(month_names=("Jan",))
 
     def test_default_is_six(self):
         assert DEFAULT_STYLE.max_authors_before_etal == 6
