@@ -322,6 +322,7 @@ def serialize_database(entries: list[RawEntry]) -> str:
 
 _CONTROL_WORD_RE = re.compile(r"[A-Za-z]+\*?")
 _ESCAPES = {"&": "&", "%": "%", "_": "_", "#": "#", "$": "$", "{": "{", "}": "}"}
+_SPECIAL_RE = re.compile(r"[\\${}]|--+")
 
 
 def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
@@ -334,46 +335,43 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
     """
     out: list[str] = []
     i = 0
-    n = len(value)
     in_math = False
-    while i < n:
-        c = value[i]
+    # jump from one special character to the next, copying the text between
+    while m := _SPECIAL_RE.search(value, i):
+        j = m.start()
+        out.append(value[i:j])
+        c = value[j]
+        i = m.end()
         if c == "\\":
-            nxt = value[i + 1] if i + 1 < n else ""
+            nxt = value[i:i + 1]
             if nxt in _ESCAPES:
                 out.append(_ESCAPES[nxt])
-                i += 2
+                i += 1
             elif nxt == "\\":
                 out.append(" ")
-                i += 2
-            elif m := _CONTROL_WORD_RE.match(value, i + 1):
+                i += 1
+            elif word := _CONTROL_WORD_RE.match(value, i):
                 if diagnostics is not None:
                     diagnostics.append(warning(
                         "unknown-macro",
-                        f"dropped control sequence '\\{m.group(0)}'",
-                        i,
+                        f"dropped control sequence '\\{word.group(0)}'",
+                        j,
                     ))
-                i = m.end()
-                if i < n and value[i] == " ":  # TeX eats the space after a word
+                i = word.end()
+                if value.startswith(" ", i):  # TeX eats the space after a word
                     i += 1
             else:
                 if diagnostics is not None:
                     diagnostics.append(warning(
-                        "unknown-macro", f"dropped control symbol '\\{nxt}'", i))
-                i += 2
+                        "unknown-macro", f"dropped control symbol '\\{nxt}'", j))
+                i += 1
         elif c == "$":
             in_math = not in_math
             out.append(c)
-            i += 1
-        elif c == "-" and not in_math and value.startswith("--", i):
-            j = i
-            while j < n and value[j] == "-":
-                j += 1
+        elif in_math:
+            out.append(m.group(0))  # braces and dashes stay as written in math
+        elif c == "-":
             out.append("-")
-            i = j
-        elif c in "{}" and not in_math:
-            i += 1  # case-protection group: drop the braces, keep content
-        else:
-            out.append(c)
-            i += 1
+        # else a case-protection brace: drop it, keep the content
+    out.append(value[i:])
     return _WS_RUN_RE.sub(" ", "".join(out)).strip()

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Protocol, TypeVar
 
 from .diagnostics import Diagnostic, warning
-from .model import BibRecord
 
 _CITE_RE = re.compile(r"\\cite\s*\{([^{}]*)\}")
 _KEY_RE = re.compile(r"[A-Za-z0-9.:*+/_-]+")
@@ -66,18 +65,26 @@ def scan_citations(text: str) -> CitationIndex:
     )
 
 
+class _Keyed(Protocol):
+    @property
+    def key(self) -> str: ...
+
+
+_Record = TypeVar("_Record", bound=_Keyed)
+
+
 def resolve(keys: Iterable[str],
-            records: Iterable[BibRecord]) -> tuple[list[tuple[int, BibRecord]], list[str]]:
+            records: Iterable[_Record]) -> tuple[list[tuple[int, _Record]], list[str]]:
     """Number ``keys`` by position and pair each with its database record.
 
-    A repeated key keeps its first number.  Records whose keys are not
-    listed are excluded.  Missing keys are reported without renumbering:
-    their numbers were already assigned, so gaps stay open.
+    A record is anything with a ``key``, a ``RawEntry`` or a ``BibRecord``.
+    A repeated key keeps its first number; unlisted records are excluded.
+    Missing keys are reported without renumbering, so their gaps stay open.
     """
     by_key = {}
     for record in records:
         by_key.setdefault(record.key, record)
-    resolved: list[tuple[int, BibRecord]] = []
+    resolved: list[tuple[int, _Record]] = []
     missing: list[str] = []
     for number, key in enumerate(dict.fromkeys(keys), start=1):
         record = by_key.get(key)

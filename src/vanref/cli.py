@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .bibtex import Database, parse_database
 from .citescan import scan_citations, resolve
 from .diagnostics import Diagnostic, ERROR, LineIndex, error, warning
-from .model import TRUE_WORDS, BibRecord, normalize
+from .model import TRUE_WORDS, normalize
 from .render import TEMPLATES, RenderError, StyleConfig, render_reference
 
 CONFIG_ENV_VAR = "VANREF_CONFIG"
@@ -110,16 +110,6 @@ def _load_databases(paths: list[str], reporter: _Reporter,
     return merged
 
 
-def _normalize_all(db: Database, reporter: _Reporter) -> list[BibRecord]:
-    records = []
-    for entry in db.entries:
-        record, diags = normalize(entry)
-        for diag in diags:
-            reporter.emit(diag)
-        records.append(record)
-    return records
-
-
 _MARKDOWN_SPECIALS = re.compile(r"([\\`*_\[\]<>])")
 
 
@@ -153,7 +143,6 @@ def cmd_format(config: RunConfig, stdout=None, stderr=None) -> int:
     db = _load_databases(config.bib_paths, reporter)
     if db is None:
         return EXIT_IO
-    records = _normalize_all(db, reporter)
     style = config.style()
 
     cites: tuple[tuple[str, int], ...] = ()
@@ -176,17 +165,25 @@ def cmd_format(config: RunConfig, stdout=None, stderr=None) -> int:
             return EXIT_CONTENT
         keys = config.keys
     else:
-        keys = [record.key for record in records]
+        keys = [entry.key for entry in db.entries]
 
-    pairs, missing = resolve(keys, records)
+    pairs, missing = resolve(keys, db.entries)
     # a missing key points at its first \cite; reversed, the first one wins
     first_cite = dict(reversed(cites)) if missing else {}
     for key in missing:
         reporter.emit(warning("missing-key", f"no database entry for '{key}'",
                               first_cite.get(key)),
                       tex_lines, config.tex_path)
+    # normalize only what is printed, and all of it before rendering, so
+    # every normalize diagnostic precedes every render warning
+    numbered = []
+    for number, entry in pairs:
+        record, diags = normalize(entry)
+        for diag in diags:
+            reporter.emit(diag)
+        numbered.append((number, record))
     lines = []
-    for number, record in pairs:
+    for number, record in numbered:
         try:
             text = render_reference(record, style)
         except RenderError as exc:

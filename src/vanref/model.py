@@ -309,6 +309,8 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
     truncated = len(last_words) == 1 and last_words[0].lower() == "others"
     if truncated:
         pieces.pop()
+        if not pieces:
+            raise NameParseError("empty name at position 0", 0)
     names = []
     for index, (words, parts) in enumerate(pieces):
         if not words:

@@ -2,16 +2,20 @@
 
 import time
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vanref.bibtex import (
     MONTH_MACROS,
     RawEntry,
+    _CONTROL_WORD_RE,
+    _ESCAPES,
+    _WS_RUN_RE,
     _skip_junk,
     parse_database,
     serialize_database,
     strip_latex,
 )
+from vanref.diagnostics import warning
 
 
 def skip_junk_reference(text, i):
@@ -27,6 +31,65 @@ def skip_junk_reference(text, i):
             return n
         i = nl + 1
     return n
+
+
+def strip_latex_reference(value, diagnostics=None):
+    """The former ``strip_latex``: one loop iteration per character."""
+    out = []
+    i = 0
+    n = len(value)
+    in_math = False
+    while i < n:
+        c = value[i]
+        if c == "\\":
+            nxt = value[i + 1] if i + 1 < n else ""
+            if nxt in _ESCAPES:
+                out.append(_ESCAPES[nxt])
+                i += 2
+            elif nxt == "\\":
+                out.append(" ")
+                i += 2
+            elif m := _CONTROL_WORD_RE.match(value, i + 1):
+                if diagnostics is not None:
+                    diagnostics.append(warning(
+                        "unknown-macro",
+                        f"dropped control sequence '\\{m.group(0)}'",
+                        i,
+                    ))
+                i = m.end()
+                if i < n and value[i] == " ":
+                    i += 1
+            else:
+                if diagnostics is not None:
+                    diagnostics.append(warning(
+                        "unknown-macro", f"dropped control symbol '\\{nxt}'", i))
+                i += 2
+        elif c == "$":
+            in_math = not in_math
+            out.append(c)
+            i += 1
+        elif c == "-" and not in_math and value.startswith("--", i):
+            j = i
+            while j < n and value[j] == "-":
+                j += 1
+            out.append("-")
+            i = j
+        elif c in "{}" and not in_math:
+            i += 1
+        else:
+            out.append(c)
+            i += 1
+    return _WS_RUN_RE.sub(" ", "".join(out)).strip()
+
+
+def _stripped(strip, value):
+    """The text and the ``(code, message, offset)`` of each diagnostic."""
+    sink = []
+    text = strip(value, sink)
+    return text, [(d.code, d.message, d.offset) for d in sink]
+
+
+_LATEX_ALPHABET = "\\${}-- aA*&%_#\n\t\xa0"
 
 
 def single_value(text):
@@ -239,3 +302,24 @@ class TestStripLatex:
     @given(st.text(max_size=80))
     def test_never_raises(self, text):
         strip_latex(text, [])
+
+    @given(st.text(alphabet=_LATEX_ALPHABET) | st.text())
+    @example("\\")
+    @example("$--$")
+    @example("-{}-")
+    @example("a---b")
+    @example("\\foo bar")
+    @example("a\\b c")
+    def test_jumping_scan_matches_per_character_reference(self, value):
+        assert _stripped(strip_latex, value) == \
+            _stripped(strip_latex_reference, value)
+
+    def test_long_value_strips_in_linear_time(self):
+        # control words, symbols and escapes, braces, dash runs and math
+        chunk = "\\foo {ab--cd} \\1 $x--y$ \\& word "
+        value = chunk * (200_000 // len(chunk) + 1)
+        start = time.perf_counter()
+        text = strip_latex(value, [])
+        elapsed = time.perf_counter() - start
+        assert "foo" not in text
+        assert elapsed < 1.0

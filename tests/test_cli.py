@@ -5,7 +5,9 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from vanref import StyleConfig, render_reference, resolve
 from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
 from vanref.diagnostics import Diagnostic
 
@@ -35,6 +37,16 @@ def run_scan(**kwargs):
 
 BIB = str(BIB_PATH)
 TEX = str(TEX_PATH)
+
+# one entry per defect: no date, an unknown macro, no title (a render
+# failure) and an empty name
+DEFECTS_BIB = (
+    "@article{nodate, author={Smith, J}, title={Dateless}, journal={J}}\n"
+    "@article{macro, author={Doe, A}, title={\\foo Title}, journal={J}, year={2000}}\n"
+    "@article{notitle, author={Roe, B}, journal={J}, year={2001}}\n"
+    "@article{badname, author={Smith, J and and Doe, A}, title={U}, journal={J}, "
+    "year={2002}}\n"
+)
 
 
 class TestFormat:
@@ -184,6 +196,55 @@ class TestFormat:
         assert out == "1. One.\n"
         assert f"{second}:2:3: warning: duplicate entry key 'k' across files" in err
 
+    def test_uncited_defective_entry_is_not_reported(self, tmp_path):
+        bib = tmp_path / "db.bib"
+        bib.write_text(
+            "@book{cited, title={Alpha}, publisher={P}, year={2000}}\n"
+            "@book{uncited, title={Beta}, publisher={P}}\n", encoding="utf-8")
+        tex = tmp_path / "paper.tex"
+        tex.write_text("\\cite{cited}\n", encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(bib)], tex_path=str(tex),
+                                    strict=True)
+        assert (code, out, err) == (0, "1. Alpha. P; 2000.\n", "")
+        code, _, err = run_check(bib_paths=[str(bib)])
+        assert "entry 'uncited' has no date; year skipped [missing-date]" in err
+
+    def test_cited_defective_entry_is_reported(self, tmp_path):
+        bib = tmp_path / "db.bib"
+        bib.write_text(DEFECTS_BIB, encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(bib)], keys=["nodate"],
+                                    strict=True)
+        assert code == 1
+        assert out == "1. Smith J. Dateless. J.\n"
+        assert err == ("warning: entry 'nodate' has no date; year skipped "
+                       "[missing-date]\n")
+
+    def test_all_mode_reports_every_defect_before_rendering(self, tmp_path):
+        bib = tmp_path / "db.bib"
+        bib.write_text(DEFECTS_BIB, encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(bib)])
+        assert code == 1
+        assert out == ("1. Smith J. Dateless. J.\n"
+                       "2. Doe A. Title. J. 2000.\n"
+                       "4. U. J. 2002.\n")
+        assert err == (
+            "warning: entry 'nodate' has no date; year skipped [missing-date]\n"
+            ":@0: warning: dropped control sequence '\\foo' [unknown-macro]\n"
+            ":@207: error: entry 'badname': bad author field: empty name at "
+            "position 1 [empty-name]\n"
+            "warning: entry 'notitle': entry type 'article' requires field "
+            "'title' [render]\n")
+
+    @given(data=st.data())
+    def test_keys_mode_matches_library_pipeline(self, corpus_records, data):
+        keys = data.draw(st.lists(
+            st.sampled_from([*corpus_records, "no-such-key"]), min_size=1))
+        pairs, _ = resolve(keys, corpus_records.values())
+        expected = "".join(f"{number}. {render_reference(record, StyleConfig())}\n"
+                           for number, record in pairs)
+        _, out, _ = run_format(bib_paths=[BIB], keys=keys)
+        assert out == expected
+
 
 class TestCheck:
     def test_clean_corpus_passes(self):
@@ -199,6 +260,16 @@ class TestCheck:
         code, _, err = run_check(bib_paths=[str(bad)])
         assert code == 1
         assert "title" in err
+
+    def test_name_field_of_only_others_is_empty_name(self, tmp_path):
+        bib = tmp_path / "others.bib"
+        bib.write_text("@article{k, author={others}, title={T}, journal={J}, "
+                       "year={2000}}", encoding="utf-8")
+        code, out, err = run_check(bib_paths=[str(bib)])
+        assert code == 1
+        assert out == "checked 1 entries: 1 errors, 0 warnings\n"
+        assert err == (":@0: error: entry 'k': bad author field: empty name at "
+                       "position 0 [empty-name]\n")
 
     def test_duplicate_key_warns_only(self, tmp_path):
         dup = tmp_path / "dup.bib"

@@ -132,6 +132,8 @@ def _ref_parse_names(value):
     if pieces and len(pieces[-1]) == 1 and pieces[-1][0].lower() == "others":
         truncated = True
         pieces.pop()
+        if not pieces:
+            raise NameParseError("empty name at position 0", 0)
     names = []
     for index, piece in enumerate(pieces):
         if not piece:
@@ -225,6 +227,8 @@ class TestParseNames:
     @example("and")
     @example("} A {B and C")
     @example("a\x1cb")
+    @example("others")
+    @example("OTHERS")
     def test_one_pass_split_matches_two_pass_reference(self, value):
         assert _outcome(parse_names, value) == _outcome(_ref_parse_names, value)
 
