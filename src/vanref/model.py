@@ -8,7 +8,7 @@ and never raises on odd input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .bibtex import RawEntry, strip_latex
@@ -494,12 +494,15 @@ _ROLE_FIELDS = [
     ("cartographer", Role.CARTOGRAPHER),
 ]
 
-# Values read as "yes" in flag-like fields and config files.
+# Values read as "yes" in flag-like fields.
 TRUE_WORDS = {"yes", "true", "1", "on"}
 
 
 def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
-    """Build a typed record from a raw entry, collecting diagnostics."""
+    """Build a typed record from a raw entry, collecting diagnostics.
+
+    Every diagnostic points at the entry's ``@`` (``raw.span[0]``).
+    """
     diags: list[Diagnostic] = []
     f = raw.fields
 
@@ -521,9 +524,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
             except NameParseError as exc:
                 diags.append(error(
                     "empty-name",
-                    f"entry '{raw.key}': bad {field_name} field: {exc}",
-                    raw.span[0],
-                ))
+                    f"entry '{raw.key}': bad {field_name} field: {exc}"))
 
     entry_type = map_entry_type(raw, diags)
 
@@ -634,7 +635,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         continuous_pagination=pagination == "continuous",
         date_separator=datesep,
     )
-    return record, diags
+    return record, [replace(d, offset=raw.span[0]) for d in diags]
 
 
 def normalize_database(entries: list[RawEntry]) -> tuple[list[BibRecord], list[Diagnostic]]:

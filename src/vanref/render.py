@@ -1,8 +1,9 @@
 """Vancouver-style reference rendering.
 
 :data:`TEMPLATES` has one row per entry type: its template function, the
-record attributes the template requires and the ``.bib`` fields ``check``
-accepts.  All functions are pure: strings in, strings out.
+record attributes the template requires and the ``.bib`` fields the
+``unknown-field`` lint accepts.  All functions are pure: strings in, strings
+out.
 """
 
 from __future__ import annotations
@@ -487,7 +488,7 @@ class Template(NamedTuple):
 
     render: Callable[[BibRecord, StyleConfig], str]
     requires: tuple[str, ...]   # record attributes, checked in this order
-    fields: frozenset[str]      # .bib fields ``check`` accepts
+    fields: frozenset[str]      # .bib fields the unknown-field lint accepts
 
 
 # .bib field families; every entry type accepts the common fields.

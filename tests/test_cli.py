@@ -1,4 +1,4 @@
-"""Command-line behavior: modes, exit codes, stream separation, config."""
+"""Command-line behavior: modes, exit codes, stream separation, arguments."""
 
 import io
 import time
@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from vanref import StyleConfig, render_reference, resolve
+from vanref import RawEntry, StyleConfig, render_reference, resolve
+from vanref.bibtex import serialize_entry
 from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
 from vanref.diagnostics import Diagnostic
 
@@ -47,6 +48,28 @@ DEFECTS_BIB = (
     "@article{badname, author={Smith, J and and Doe, A}, title={U}, journal={J}, "
     "year={2002}}\n"
 )
+
+
+def inject(entry: RawEntry, defect: str) -> str:
+    """``entry`` as ``.bib`` text with one defect; a duplicate key is two copies."""
+    fields = dict(entry.fields)
+    if defect == "no-date":
+        for name in ("date", "year", "month", "day"):
+            fields.pop(name, None)
+    elif defect == "macro":
+        fields["title"] = "\\foo " + fields.get("title", "T")
+    elif defect == "no-title":
+        fields.pop("title", None)
+    elif defect == "and-and":
+        fields["author"] = "Smith, J and and Doe, A"
+    elif defect == "unknown-field":
+        fields["flavor"] = "mint"
+    text = serialize_entry(RawEntry(entry.entry_type, entry.key, fields)) + "\n"
+    return text * 2 if defect == "duplicate-key" else text
+
+
+DEFECTS = ("none", "no-date", "macro", "no-title", "and-and", "unknown-field",
+           "duplicate-key")
 
 
 class TestFormat:
@@ -216,10 +239,10 @@ class TestFormat:
                                     strict=True)
         assert code == 1
         assert out == "1. Smith J. Dateless. J.\n"
-        assert err == ("warning: entry 'nodate' has no date; year skipped "
-                       "[missing-date]\n")
+        assert err == (f"{bib}:1:1: warning: entry 'nodate' has no date; "
+                       "year skipped [missing-date]\n")
 
-    def test_all_mode_reports_every_defect_before_rendering(self, tmp_path):
+    def test_all_mode_reports_each_entry_in_file_order(self, tmp_path):
         bib = tmp_path / "db.bib"
         bib.write_text(DEFECTS_BIB, encoding="utf-8")
         code, out, err = run_format(bib_paths=[str(bib)])
@@ -228,12 +251,32 @@ class TestFormat:
                        "2. Doe A. Title. J. 2000.\n"
                        "4. U. J. 2002.\n")
         assert err == (
-            "warning: entry 'nodate' has no date; year skipped [missing-date]\n"
-            ":@0: warning: dropped control sequence '\\foo' [unknown-macro]\n"
-            ":@207: error: entry 'badname': bad author field: empty name at "
-            "position 1 [empty-name]\n"
-            "warning: entry 'notitle': entry type 'article' requires field "
-            "'title' [render]\n")
+            f"{bib}:1:1: warning: entry 'nodate' has no date; year skipped "
+            "[missing-date]\n"
+            f"{bib}:2:1: warning: dropped control sequence '\\foo' "
+            "[unknown-macro]\n"
+            f"{bib}:3:1: error: entry 'notitle': entry type 'article' requires "
+            "field 'title' [render]\n"
+            f"{bib}:4:1: error: entry 'badname': bad author field: empty name "
+            "at position 1 [empty-name]\n")
+
+    def test_render_failure_is_an_error(self, tmp_path):
+        bib = tmp_path / "db.bib"
+        bib.write_text(DEFECTS_BIB, encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(bib)], keys=["notitle"])
+        assert (code, out) == (1, "")
+        assert err == (f"{bib}:3:1: error: entry 'notitle': entry type "
+                       "'article' requires field 'title' [render]\n")
+
+    def test_unknown_field_of_printed_entry_is_reported(self, tmp_path):
+        bib = tmp_path / "odd.bib"
+        bib.write_text(
+            "@article{k, title={T}, journal={J}, year={2000}, flavor={mint}}",
+            encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(bib)], keys=["k"])
+        assert (code, out) == (0, "1. T. J. 2000.\n")
+        assert err == (f"{bib}:1:1: warning: entry 'k': field 'flavor' not "
+                       "used by entry type 'article' [unknown-field]\n")
 
     @given(data=st.data())
     def test_keys_mode_matches_library_pipeline(self, corpus_records, data):
@@ -268,8 +311,8 @@ class TestCheck:
         code, out, err = run_check(bib_paths=[str(bib)])
         assert code == 1
         assert out == "checked 1 entries: 1 errors, 0 warnings\n"
-        assert err == (":@0: error: entry 'k': bad author field: empty name at "
-                       "position 0 [empty-name]\n")
+        assert err == (f"{bib}:1:1: error: entry 'k': bad author field: "
+                       "empty name at position 0 [empty-name]\n")
 
     def test_duplicate_key_warns_only(self, tmp_path):
         dup = tmp_path / "dup.bib"
@@ -339,6 +382,25 @@ class TestCheck:
         assert code == 0
         assert "unknown-field" not in err
 
+    @given(data=st.data())
+    def test_format_all_agrees_with_check(self, corpus_db, tmp_path_factory,
+                                          data):
+        picked = data.draw(st.lists(
+            st.tuples(st.sampled_from(corpus_db.entries), st.sampled_from(DEFECTS)),
+            min_size=1, max_size=8))
+        texts = [inject(entry, defect) for entry, defect in picked]
+        # two files, so that a duplicate key may also cross files
+        split = data.draw(st.integers(0, len(texts)))
+        folder = tmp_path_factory.mktemp("agree")
+        paths = [str(folder / "a.bib"), str(folder / "b.bib")]
+        for path, part in zip(paths, (texts[:split], texts[split:])):
+            Path(path).write_text("".join(part), encoding="utf-8")
+        strict = data.draw(st.booleans())
+        format_code, _, format_err = run_format(bib_paths=paths, strict=strict)
+        check_code, _, check_err = run_check(bib_paths=paths, strict=strict)
+        assert format_err == check_err
+        assert format_code == check_code
+
 
 class TestScan:
     def test_first_three_lines(self):
@@ -392,32 +454,6 @@ class TestMainAndConfig:
         assert code == 0
         assert captured.out.startswith("1. Dorland's")
         assert captured.err == ""
-
-    def test_config_file_sets_max_authors(self, tmp_path, monkeypatch, capsys):
-        config = tmp_path / "vanref.conf"
-        config.write_text("# settings\nmax_authors = 2\n", encoding="utf-8")
-        monkeypatch.setenv("VANREF_CONFIG", str(config))
-        code = main(["format", "--bib", BIB, "--keys",
-                     "rose.huerbin.ea:regulation"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.out.startswith("1. Rose ME, Huerbin MB, et al.")
-
-    def test_flag_wins_over_config_file(self, tmp_path, monkeypatch, capsys):
-        config = tmp_path / "vanref.conf"
-        config.write_text("max_authors = 2\n", encoding="utf-8")
-        monkeypatch.setenv("VANREF_CONFIG", str(config))
-        code = main(["format", "--bib", BIB, "--keys",
-                     "rose.huerbin.ea:regulation", "--max-authors", "6"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "Schiding JK, et al." in captured.out
-
-    def test_missing_config_file_is_io_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("VANREF_CONFIG", "/no/such/config")
-        code = main(["format", "--bib", BIB, "--all"])
-        assert code == 2
-        assert "config" in capsys.readouterr().err
 
     def test_scan_via_main(self, capsys):
         code = main(["scan", "--tex", TEX])

@@ -424,6 +424,18 @@ class TestNormalize:
         assert record.url == "http://x/a b"
         assert record.cited.raw == "some day"
 
+    def test_every_diagnostic_points_at_the_entry(self):
+        entry = RawEntry("artwork", "k", {
+            "author": "Smith, J and and Doe, A", "title": "\\foo T",
+            "month": "Smarch", "day": "x", "year": "2000"}, span=(40, 90))
+        _, diags = normalize(entry)
+        assert sorted(d.code for d in diags) == [
+            "empty-name", "unknown-entry-type", "unknown-macro",
+            "unparsed-date", "unparsed-date"]
+        assert {d.offset for d in diags} == {40}
+        _, diags = normalize(RawEntry("misc", "k", {"title": "T"}, span=(7, 20)))
+        assert [(d.code, d.offset) for d in diags] == [("missing-date", 7)]
+
     def test_bad_name_field_is_error_not_crash(self):
         record, diags = normalize(
             raw("article", author="and", title="t", journal="j"))
