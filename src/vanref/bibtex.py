@@ -32,11 +32,28 @@ MONTH_MACROS = {
 
 # Identifier characters follow BibTeX: anything but whitespace and the
 # syntax characters below.  Citation keys may start with a digit ("21st").
-_NAME_RE = re.compile(r"""[^\s"#%'(),={}]+""")
+_NAME = r"""[^\s"#%'(),={}]+"""
+_NAME_RE = re.compile(_NAME)
 _TYPE_RE = re.compile(r"[A-Za-z]+")
-_SPACE_RE = re.compile(r"\s*")
 _KEY_BRACE_RE = re.compile(r"[^,\s{}]+")
 _KEY_PAREN_RE = re.compile(r"[^,\s()]+")
+# Skippable space is a whitespace run that starts with a space, tab or line
+# break; a run that starts with another space character (no-break space,
+# vertical tab) is not skipped, so it is a syntax error where a token is due.
+_SPACE = r"(?:[ \t\n\r]\s*)?"
+_SPACE_RE = re.compile(_SPACE)
+_HASH_RE = re.compile(_SPACE + "#" + _SPACE)
+# One field after the key: ``, name = {value}`` and the space after it.
+# After the comma each part is optional, and the first one missing says
+# which syntax error to report.  The value group takes only a brace group
+# with no brace inside and no ``#`` after it; every other value goes
+# through ``_Parser._parse_value``.
+_FIELD_RE = re.compile(
+    "," + _SPACE
+    + "(?:(?P<name>" + _NAME + ")" + _SPACE
+    + "(?:(?P<eq>=)" + _SPACE
+    + r"(?:\{(?P<value>[^{}]*)\}(?!" + _SPACE + "#)" + _SPACE + ")?)?)?"
+)
 
 
 class BibtexSyntaxError(ValueError):
@@ -65,9 +82,7 @@ class Database:
 
 
 def _skip_space(text: str, i: int) -> int:
-    if i < len(text) and text[i] in " \t\n\r":
-        return _SPACE_RE.match(text, i).end()
-    return i
+    return _SPACE_RE.match(text, i).end()
 
 
 def _skip_junk(text: str, i: int) -> int:
@@ -94,50 +109,8 @@ _BRACE_JUMP_RE = re.compile(r"[{}]")
 _QUOTE_JUMP_RE = re.compile(r'["{}]')
 
 
-def _scan_braced(text: str, i: int) -> tuple[str, int]:
-    """Scan text after an opening brace up to its matching close brace."""
-    start = i
-    depth = 0
-    while True:
-        m = _BRACE_JUMP_RE.search(text, i)
-        if m is None:
-            raise BibtexSyntaxError("brace opened here is never closed", start - 1)
-        if m.group(0) == "{":
-            depth += 1
-        elif depth == 0:
-            return text[start:m.start()], m.end()
-        else:
-            depth -= 1
-        i = m.end()
-
-
-def _scan_quoted(text: str, i: int) -> tuple[str, int]:
-    """Scan text after an opening quote; braces may nest inside."""
-    start = i
-    depth = 0
-    while True:
-        m = _QUOTE_JUMP_RE.search(text, i)
-        if m is None:
-            raise BibtexSyntaxError(
-                "string opened here is never closed", start - 1)
-        c = m.group(0)
-        if c == '"':
-            if depth == 0:
-                return text[start:m.start()], m.end()
-        elif c == "{":
-            depth += 1
-        else:
-            depth -= 1
-            if depth < 0:
-                raise BibtexSyntaxError("unexpected '}' inside string", m.start())
-        i = m.end()
-
-
-_WS_RUN_RE = re.compile(r"\s+")
-
-
 def _flatten(value: str) -> str:
-    return _WS_RUN_RE.sub(" ", value).strip()
+    return " ".join(value.split())
 
 
 class _Parser:
@@ -147,6 +120,9 @@ class _Parser:
         self.text = text
         self.db = Database(macros={**MONTH_MACROS, **(macros or {})})
         self._seen_keys: set[str] = set()
+        # offsets of the '{'s that are never closed, from the delimiter of
+        # the first value that ran to the end of the text (see _never_closed)
+        self._unclosed: set[int] | None = None
 
     def run(self) -> Database:
         pos = 0
@@ -213,35 +189,41 @@ class _Parser:
         key = m.group(0)
         i = _skip_space(text, m.end())
         fields: dict[str, str] = {}
+        n = len(text)
         while True:
-            if i >= len(text):
-                raise BibtexSyntaxError("input ended inside an entry", len(text))
+            if i >= n:
+                raise BibtexSyntaxError("input ended inside an entry", n)
             if text[i] == close:
                 i += 1
                 break
-            i = self._expect(i, ",")
-            i = _skip_space(text, i)
-            if i < len(text) and text[i] == close:  # trailing comma
-                i += 1
-                break
-            name_at = i
-            m = _NAME_RE.match(text, i)
+            m = _FIELD_RE.match(text, i)
             if m is None:
+                raise BibtexSyntaxError(f"expected ',', found {text[i]!r}", i)
+            i = m.end()
+            name, eq, value = m.groups()
+            if name is None:
+                if i < n and text[i] == close:  # trailing comma
+                    i += 1
+                    break
                 raise BibtexSyntaxError("expected field name", i)
-            name = m.group(0).lower()
-            i = self._expect(_skip_space(text, m.end()), "=")
-            value, i = self._parse_value(_skip_space(text, i))
-            i = _skip_space(text, i)
+            if eq is None:
+                if i >= n:
+                    raise BibtexSyntaxError("expected '=' before end of input", n)
+                raise BibtexSyntaxError(f"expected '=', found {text[i]!r}", i)
+            if value is None:
+                value, i = self._parse_value(i)
+                i = _skip_space(text, i)
+            else:
+                value = _flatten(value)
+            name = name.lower()
             if name in fields:
                 self.db.diagnostics.append(warning(
                     "duplicate-field",
                     f"duplicate field '{name}' in entry '{key}' ignored",
-                    name_at,
+                    m.start("name"),
                 ))
             else:
                 fields[name] = value
-        if not entry_type.isascii() or not entry_type.isalpha():
-            raise BibtexSyntaxError(f"invalid entry type '{entry_type}'", at)
         if key in self._seen_keys:
             self.db.diagnostics.append(warning(
                 "duplicate-key",
@@ -258,13 +240,10 @@ class _Parser:
 
     def _parse_value(self, i: int) -> tuple[str, int]:
         value, i = self._parse_piece(i)
-        while True:
-            j = _skip_space(self.text, i)
-            if j < len(self.text) and self.text[j] == "#":
-                piece, i = self._parse_piece(_skip_space(self.text, j + 1))
-                value += piece
-            else:
-                return _flatten(value), i
+        while m := _HASH_RE.match(self.text, i):
+            piece, i = self._parse_piece(m.end())
+            value += piece
+        return _flatten(value), i
 
     def _parse_piece(self, i: int) -> tuple[str, int]:
         text = self.text
@@ -272,9 +251,9 @@ class _Parser:
             raise BibtexSyntaxError("input ended where a value was expected", len(text))
         c = text[i]
         if c == "{":
-            return _scan_braced(text, i + 1)
+            return self._scan_braced(i + 1)
         if c == '"':
-            return _scan_quoted(text, i + 1)
+            return self._scan_quoted(i + 1)
         m = _NAME_RE.match(text, i)
         if m is None:
             raise BibtexSyntaxError(f"expected a value, found {c!r}", i)
@@ -287,6 +266,66 @@ class _Parser:
                 "undefined-macro", f"undefined macro '{word}'", i))
             expansion = ""
         return expansion, m.end()
+
+    def _scan_braced(self, i: int) -> tuple[str, int]:
+        """Scan text after an opening brace up to its matching close brace."""
+        text = self.text
+        start = i
+        if self._unclosed and start - 1 in self._unclosed:
+            raise self._never_closed("brace", start - 1)
+        depth = 0
+        while m := _BRACE_JUMP_RE.search(text, i):
+            if m.group(0) == "{":
+                depth += 1
+            elif depth == 0:
+                return text[start:m.start()], m.end()
+            else:
+                depth -= 1
+            i = m.end()
+        raise self._never_closed("brace", start - 1)
+
+    def _scan_quoted(self, i: int) -> tuple[str, int]:
+        """Scan text after an opening quote; braces may nest inside."""
+        text = self.text
+        unclosed = self._unclosed
+        start = i
+        depth = 0
+        while m := _QUOTE_JUMP_RE.search(text, i):
+            c = m.group(0)
+            if c == '"':
+                if depth == 0:
+                    return text[start:m.start()], m.end()
+            elif c == "{":
+                if unclosed and m.start() in unclosed:
+                    break  # the string can only end with the text
+                depth += 1
+            else:
+                depth -= 1
+                if depth < 0:
+                    raise BibtexSyntaxError("unexpected '}' inside string", m.start())
+            i = m.end()
+        raise self._never_closed("string", start - 1)
+
+    def _never_closed(self, what: str, at: int) -> BibtexSyntaxError:
+        """The error for a value whose delimiter at ``at`` is never closed.
+
+        Recovery resumes at the next '@', so without help every later value
+        that opens inside the unclosed one would scan to the end of the text
+        again.  The first such error therefore finds, in one stack pass from
+        ``at``, every '{' after it that is never closed.  Whether a '{' is
+        closed depends only on the text after it, and parsing never returns
+        before ``at``, so the set stays exact: a later brace value that
+        opens at one of them, or a string that reaches one, fails at once.
+        """
+        if self._unclosed is None:
+            stack: list[int] = []
+            for m in _BRACE_JUMP_RE.finditer(self.text, at):
+                if m.group(0) == "{":
+                    stack.append(m.start())
+                elif stack:
+                    stack.pop()
+            self._unclosed = set(stack)
+        return BibtexSyntaxError(f"{what} opened here is never closed", at)
 
     def _expect(self, i: int, char: str) -> int:
         i = _skip_space(self.text, i)
@@ -374,4 +413,4 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
             out.append("-")
         # else a case-protection brace: drop it, keep the content
     out.append(value[i:])
-    return _WS_RUN_RE.sub(" ", "".join(out)).strip()
+    return _flatten("".join(out))

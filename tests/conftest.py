@@ -1,8 +1,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from vanref import normalize_database, parse_database
+
+# A longer run of every property, for CI: ``--hypothesis-profile=ci``.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 DATA_DIR = Path(__file__).parent / "data"
 BIB_PATH = DATA_DIR / "vancouver.bib"
