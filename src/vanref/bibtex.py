@@ -176,7 +176,7 @@ class _Parser:
         value, i = self._parse_value(_skip_space(text, i))
         if name in self.db.macros and name not in MONTH_MACROS:
             self.db.diagnostics.append(
-                warning("macro-redefined", f"macro '{name}' redefined", i))
+                warning("macro-redefined", f"macro '{name}' redefined", m.start()))
         self.db.macros[name] = value
         return self._expect(_skip_space(text, i), close)
 

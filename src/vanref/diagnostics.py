@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
 ERROR = "error"
 WARNING = "warning"
+
+_NEWLINE_RE = re.compile("\n")
 
 
 class LineIndex:
@@ -24,12 +27,8 @@ class LineIndex:
         self._starts: array | None = None
 
     def _line_starts(self) -> array:
-        source = self.source
         starts = array("q", [0])
-        nl = source.find("\n")
-        while nl != -1:
-            starts.append(nl + 1)
-            nl = source.find("\n", nl + 1)
+        starts.extend(m.end() for m in _NEWLINE_RE.finditer(self.source))
         return starts
 
     def line_col(self, offset: int) -> tuple[int, int]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
-from .bibtex import RawEntry, strip_latex
+from .bibtex import RawEntry, _flatten, strip_latex
 from .diagnostics import Diagnostic, error, warning
 
 
@@ -127,9 +128,11 @@ class EntryType(Enum):
     MISC = "misc"
 
 
-@dataclass(frozen=True)
-class BibRecord:
-    """A normalized record; every rendered symbol reads one field here."""
+class BibRecord(NamedTuple):
+    """A normalized record; every rendered symbol reads one field here.
+
+    An immutable named tuple: derive a changed copy with ``_replace``.
+    """
 
     key: str
     entry_type: EntryType
@@ -192,8 +195,18 @@ def _scan_names(value: str) -> list[tuple[list[str], list[list[str]]]]:
 
     Each name between ``and`` words comes back as its whitespace words and
     as the same text cut at commas into lists of words.  Depth never drops
-    below zero; an unclosed brace runs to the end of the field.
+    below zero; an unclosed brace runs to the end of the field.  A field
+    with no brace is all at depth zero, so ``str.split`` does the cutting.
     """
+    if "{" not in value and "}" not in value:
+        groups: list[list[str]] = [[]]
+        for word in value.split():
+            if word.lower() == "and":
+                groups.append([])
+            else:
+                groups[-1].append(word)
+        return [(words, [part.split() for part in " ".join(words).split(",")])
+                for words in groups]
     names: list[tuple[list[str], list[list[str]]]] = []
     words: list[str] = []
     parts: list[list[str]] = [[]]
@@ -250,13 +263,17 @@ def _is_lower_word(word: str) -> bool:
     return False
 
 
+def _plain_words(words: list[str]) -> str:
+    return strip_latex(" ".join(words)) if words else ""
+
+
 def _person_from_parts(first: list[str], von: list[str], last: list[str],
                        suffix: list[str]) -> PersonName:
     return PersonName(
-        family=strip_latex(" ".join(last)),
-        given=strip_latex(" ".join(first)),
-        particle=strip_latex(" ".join(von)),
-        suffix=strip_latex(" ".join(suffix)),
+        family=_plain_words(last),
+        given=_plain_words(first),
+        particle=_plain_words(von),
+        suffix=_plain_words(suffix),
     )
 
 
@@ -396,7 +413,11 @@ def parse_date(value: str,
 # ---------------------------------------------------------------------------
 # pages
 
-_ROMAN_RE = r"[ivxlcdm]+"
+_ROMAN = r"[ivxlcdm]+"
+_ROMAN_RE = re.compile(_ROMAN)
+_ROMAN_RANGE_RE = re.compile(f"({_ROMAN})\\s*-\\s*({_ROMAN})")
+_DIGITS_RE = re.compile(r"\d+")
+_DIGIT_RANGE_RE = re.compile(r"(\d+)\s*-\s*(\d+)")
 
 
 def complete_page(first: str, last: str) -> str:
@@ -409,18 +430,18 @@ def complete_page(first: str, last: str) -> str:
 def parse_pages(value: str) -> PageExtent:
     """Classify a pages field; unrecognized shapes pass through verbatim."""
     s = value.strip()
-    if re.fullmatch(r"\d+", s):
+    if _DIGITS_RE.fullmatch(s):
         return PageExtent(PageKind.SINGLE, first=s)
-    m = re.fullmatch(r"(\d+)\s*-\s*(\d+)", s)
+    m = _DIGIT_RANGE_RE.fullmatch(s)
     if m:
         first, last = m.groups()
         if int(complete_page(first, last)) >= int(first):
             return PageExtent(PageKind.NUMERIC_RANGE, first=first, last=last)
         return PageExtent(PageKind.TEXT, text=s)
-    m = re.fullmatch(f"({_ROMAN_RE})\\s*-\\s*({_ROMAN_RE})", s)
+    m = _ROMAN_RANGE_RE.fullmatch(s)
     if m:
         return PageExtent(PageKind.ROMAN_RANGE, first=m.group(1), last=m.group(2))
-    if re.fullmatch(_ROMAN_RE, s):
+    if _ROMAN_RE.fullmatch(s):
         return PageExtent(PageKind.SINGLE, first=s)
     return PageExtent(PageKind.TEXT, text=s)
 
@@ -497,24 +518,71 @@ _ROLE_FIELDS = [
 # Values read as "yes" in flag-like fields.
 TRUE_WORDS = {"yes", "true", "1", "on"}
 
+# ``.bib`` fields read through ``strip_latex``, by record attribute.
+_PLAIN_FIELDS = {
+    "title": "title",
+    "journal": "journal",
+    "booktitle": "booktitle",
+    "volume": "volume",
+    "volsuppl": "volume_supplement",
+    "issuesuppl": "issue_supplement",
+    "volpart": "volume_part",
+    "issuepart": "issue_part",
+    "address": "place",
+    "edition": "edition",
+    "pmid": "pmid",
+    "retractionof": "retraction_of",
+    "retractionin": "retraction_in",
+    "erratumin": "erratum_in",
+    "republishedfrom": "republished_from",
+    "sponsor": "sponsor",
+    "type": "report_type",
+    "contract": "contract_number",
+    "articletype": "article_type",
+    "language": "language_note",
+    "medium": "medium",
+    "part": "part_title",
+    "extent": "extent_text",
+    "conference": "conference_name",
+    "conferenceplace": "conference_place",
+    "term": "defined_term",
+    "country": "country",
+    "section": "section",
+    "column": "column",
+    "affiliation": "affiliation",
+}
+
+# ``.bib`` fields read through ``parse_date``, by record attribute.
+_DATE_FIELDS = {
+    "epub": "date_epub",
+    "updated": "updated",
+    "lastchecked": "cited",
+    "conferencedate": "conference_date",
+}
+
+_DAY_RE = re.compile(r"(\d{1,2})(?:-(\d{1,2}))?")
+
 
 def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     """Build a typed record from a raw entry, collecting diagnostics.
 
-    Every diagnostic points at the entry's ``@`` (``raw.span[0]``).
+    Every diagnostic points at the entry's ``@`` (``raw.span[0]``).  The
+    fields in the two tables above are read in the entry's own order; the
+    rest need the entry type or other fields and are read one by one.
     """
     diags: list[Diagnostic] = []
     f = raw.fields
 
+    values: dict[str, object] = {}
+    for name, value in f.items():
+        attr = _PLAIN_FIELDS.get(name)
+        if attr is not None:
+            values[attr] = strip_latex(value, diags)
+        elif name in _DATE_FIELDS:
+            values[_DATE_FIELDS[name]] = parse_date(_flatten(value), diags)
+
     def plain(name: str) -> str:
         return strip_latex(f[name], diags) if name in f else ""
-
-    def verbatim(name: str) -> str:
-        """A field printed as written, with whitespace runs collapsed."""
-        return " ".join(f[name].split()) if name in f else ""
-
-    def date_of(name: str) -> PartialDate | None:
-        return parse_date(verbatim(name), diags) if name in f else None
 
     contributors: list[ContributorList] = []
     for field_name, role in _ROLE_FIELDS:
@@ -528,16 +596,16 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
 
     entry_type = map_entry_type(raw, diags)
 
-    date = date_of("date")
+    date = parse_date(_flatten(f["date"]), diags) if "date" in f else None
     if date is None and "year" in f:
-        year_text = verbatim("year")
+        year_text = _flatten(f["year"])
         month = parse_month(f["month"]) if "month" in f else None
         if "month" in f and month is None:
             diags.append(warning(
                 "unparsed-date", f"month kept verbatim: '{f['month']}'"))
         day = day_end = None
         if "day" in f:
-            m = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", f["day"].strip())
+            m = _DAY_RE.fullmatch(f["day"].strip())
             if m and month is not None:
                 day = int(m.group(1))
                 day_end = int(m.group(2)) if m.group(2) else None
@@ -590,50 +658,18 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         entry_type=entry_type,
         raw_entry_type=raw.entry_type,
         contributors=tuple(contributors),
-        title=plain("title"),
-        journal=plain("journal"),
-        booktitle=plain("booktitle"),
-        volume=plain("volume"),
         issue=issue,
-        volume_supplement=plain("volsuppl"),
-        issue_supplement=plain("issuesuppl"),
-        volume_part=plain("volpart"),
-        issue_part=plain("issuepart"),
         pages=pages,
         date=date,
-        date_epub=date_of("epub"),
-        place=plain("address"),
+        # a fallback is stripped (and reports) only if the fields before it are empty
         publisher=plain("publisher") or plain("school") or plain("institution"),
-        edition=plain("edition"),
-        pmid=plain("pmid"),
-        retraction_of=plain("retractionof"),
-        retraction_in=plain("retractionin"),
-        erratum_in=plain("erratumin"),
-        republished_from=plain("republishedfrom"),
-        sponsor=plain("sponsor"),
-        report_type=plain("type"),
         report_number=report_number,
-        contract_number=plain("contract"),
-        article_type=plain("articletype"),
-        language_note=plain("language"),
-        url=verbatim("url"),
-        medium=plain("medium"),
-        updated=date_of("updated"),
-        cited=date_of("lastchecked"),
-        part_title=plain("part"),
-        extent_text=plain("extent"),
-        conference_name=plain("conference"),
-        conference_date=date_of("conferencedate"),
-        conference_place=plain("conferenceplace"),
-        defined_term=plain("term"),
+        url=_flatten(f["url"]) if "url" in f else "",
         term_pages=term_pages,
-        country=plain("country"),
-        section=plain("section"),
-        column=plain("column"),
-        affiliation=plain("affiliation"),
         in_press="inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""},
         continuous_pagination=pagination == "continuous",
         date_separator=datesep,
+        **values,
     )
     return record, [replace(d, offset=raw.span[0]) for d in diags]
 

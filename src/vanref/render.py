@@ -293,7 +293,7 @@ def _render_article(rec: BibRecord, style: StyleConfig) -> str:
     else:
         effective = rec
         if rec.continuous_pagination:
-            effective = replace(rec, issue="", issue_supplement="", issue_part="")
+            effective = rec._replace(issue="", issue_supplement="", issue_part="")
         date_str = (_year_text(rec) if rec.continuous_pagination
                     else format_date(rec.date) if rec.date is not None else "")
         if rec.entry_type is EntryType.WEBJOURNAL:
@@ -313,7 +313,7 @@ def _render_webjournal(rec: BibRecord, style: StyleConfig) -> str:
     journal = _join([rec.journal, f"[{rec.medium}]" if rec.medium else ""])
     if not journal:
         raise MissingRequiredField(rec.entry_type, "journal")
-    body = _render_article(replace(rec, journal=journal), style)
+    body = _render_article(rec._replace(journal=journal), style)
     return _join([body, "Available from:", rec.url])
 
 

@@ -24,7 +24,7 @@ from vanref.bibtex import (
     serialize_database,
     strip_latex,
 )
-from vanref.diagnostics import error, warning
+from vanref.diagnostics import LineIndex, error, warning
 
 _WS_RUN_RE = re.compile(r"\s+")
 
@@ -149,7 +149,7 @@ class _ParserReference:
         value, i = self._parse_value(_skip_space_reference(text, i))
         if name in self.db.macros and name not in MONTH_MACROS:
             self.db.diagnostics.append(
-                warning("macro-redefined", f"macro '{name}' redefined", i))
+                warning("macro-redefined", f"macro '{name}' redefined", m.start()))
         self.db.macros[name] = value
         return self._expect(_skip_space_reference(text, i), close)
 
@@ -400,6 +400,13 @@ class TestParseDatabase:
         db = parse_database(
             "@string{nejm={N Engl J Med}} @article{k, journal=nejm}")
         assert db.entries[0].fields["journal"] == "N Engl J Med"
+
+    def test_macro_redefined_points_at_the_name(self):
+        text = "@string{a={x}}\n@string{a = {longer value}}"
+        (diag,) = parse_database(text).diagnostics
+        assert diag.code == "macro-redefined"
+        assert diag.offset == text.index("a =")
+        assert diag.render(LineIndex(text), "m.bib").startswith("m.bib:2:9: ")
 
     def test_duplicate_key_first_wins(self):
         db = parse_database("@misc{k, t={first}}\n@misc{k, t={second}}")

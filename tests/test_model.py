@@ -1,24 +1,33 @@
 """Name, date, page and entry-type normalization."""
 
+import re
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from vanref.bibtex import RawEntry, strip_latex
+from vanref.diagnostics import error, warning
 from vanref.model import (
+    TRUE_WORDS,
+    BibRecord,
     ContributorList,
     EntryType,
     NameParseError,
     PageKind,
+    PartialDate,
     PersonName,
     Role,
     initials,
     map_entry_type,
     normalize,
     parse_date,
+    parse_month,
     parse_names,
     parse_pages,
 )
-from vanref.model import _is_lower_word, _person_from_parts
+from vanref.model import _ROLE_FIELDS, _is_lower_word, _person_from_parts
 
 
 # Reference for the name parser: the earlier two-pass version, which split
@@ -157,6 +166,185 @@ def _outcome(parse, value):
 _NAME_ALPHABET = " ,{}aAnNdDoOtThHeErRsSvV\\\t\n\x1c\xa0-."
 
 
+# Reference for ``normalize``: the earlier version, which probed every field
+# name it knows through ``plain()`` instead of walking the entry's fields.
+
+def normalize_reference(raw):
+    diags = []
+    f = raw.fields
+
+    def plain(name):
+        return strip_latex(f[name], diags) if name in f else ""
+
+    def verbatim(name):
+        return " ".join(f[name].split()) if name in f else ""
+
+    def date_of(name):
+        return parse_date(verbatim(name), diags) if name in f else None
+
+    contributors = []
+    for field_name, role in _ROLE_FIELDS:
+        if field_name in f:
+            try:
+                contributors.append(parse_names(f[field_name], role))
+            except NameParseError as exc:
+                diags.append(error(
+                    "empty-name",
+                    f"entry '{raw.key}': bad {field_name} field: {exc}"))
+
+    entry_type = map_entry_type(raw, diags)
+
+    date = date_of("date")
+    if date is None and "year" in f:
+        year_text = verbatim("year")
+        month = parse_month(f["month"]) if "month" in f else None
+        if "month" in f and month is None:
+            diags.append(warning(
+                "unparsed-date", f"month kept verbatim: '{f['month']}'"))
+        day = day_end = None
+        if "day" in f:
+            m = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", f["day"].strip())
+            if m and month is not None:
+                day = int(m.group(1))
+                day_end = int(m.group(2)) if m.group(2) else None
+            else:
+                diags.append(warning(
+                    "unparsed-date", f"day kept verbatim: '{f['day']}'"))
+        try:
+            date = PartialDate(
+                year=int(year_text) if year_text.isdigit() else year_text,
+                month=month, day=day, day_end=day_end)
+        except ValueError:
+            diags.append(warning(
+                "unparsed-date", f"date fields kept verbatim for '{raw.key}'"))
+            date = PartialDate(year=year_text, raw=year_text)
+    if date is None:
+        diags.append(warning(
+            "missing-date", f"entry '{raw.key}' has no date; year skipped"))
+
+    pages_value = plain("pages")
+    pages = None
+    term_pages = ""
+    if entry_type is EntryType.DICTIONARY:
+        term_pages = pages_value
+    elif pages_value:
+        pages = parse_pages(pages_value)
+
+    pagination = f.get("pagination", "").strip().lower()
+    if pagination and pagination != "continuous":
+        diags.append(warning(
+            "unknown-value", f"pagination value '{pagination}' ignored"))
+
+    datesep = f.get("datesep", ";").strip() or ";"
+    if datesep not in {";", "."}:
+        diags.append(warning(
+            "unknown-value", f"datesep '{datesep}' ignored; using ';'"))
+        datesep = ";"
+
+    number_value = plain("number")
+    if entry_type in (EntryType.TECHREPORT, EntryType.PATENT):
+        issue = plain("issue")
+        report_number = number_value
+    else:
+        issue = number_value or plain("issue")
+        report_number = ""
+
+    record = BibRecord(
+        key=raw.key,
+        entry_type=entry_type,
+        raw_entry_type=raw.entry_type,
+        contributors=tuple(contributors),
+        title=plain("title"),
+        journal=plain("journal"),
+        booktitle=plain("booktitle"),
+        volume=plain("volume"),
+        issue=issue,
+        volume_supplement=plain("volsuppl"),
+        issue_supplement=plain("issuesuppl"),
+        volume_part=plain("volpart"),
+        issue_part=plain("issuepart"),
+        pages=pages,
+        date=date,
+        date_epub=date_of("epub"),
+        place=plain("address"),
+        publisher=plain("publisher") or plain("school") or plain("institution"),
+        edition=plain("edition"),
+        pmid=plain("pmid"),
+        retraction_of=plain("retractionof"),
+        retraction_in=plain("retractionin"),
+        erratum_in=plain("erratumin"),
+        republished_from=plain("republishedfrom"),
+        sponsor=plain("sponsor"),
+        report_type=plain("type"),
+        report_number=report_number,
+        contract_number=plain("contract"),
+        article_type=plain("articletype"),
+        language_note=plain("language"),
+        url=verbatim("url"),
+        medium=plain("medium"),
+        updated=date_of("updated"),
+        cited=date_of("lastchecked"),
+        part_title=plain("part"),
+        extent_text=plain("extent"),
+        conference_name=plain("conference"),
+        conference_date=date_of("conferencedate"),
+        conference_place=plain("conferenceplace"),
+        defined_term=plain("term"),
+        term_pages=term_pages,
+        country=plain("country"),
+        section=plain("section"),
+        column=plain("column"),
+        affiliation=plain("affiliation"),
+        in_press="inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""},
+        continuous_pagination=pagination == "continuous",
+        date_separator=datesep,
+    )
+    return record, [replace(d, offset=raw.span[0]) for d in diags]
+
+
+# Every field the reference reads, plus two it ignores.
+_NORMALIZE_FIELDS = [
+    "author", "organization", "editor", "compiler", "inventor", "assignee",
+    "cartographer", "title", "journal", "booktitle", "volume", "number",
+    "issue", "volsuppl", "issuesuppl", "volpart", "issuepart", "pages",
+    "date", "year", "month", "day", "epub", "address", "publisher",
+    "school", "institution", "edition", "pmid", "retractionof",
+    "retractionin", "erratumin", "republishedfrom", "sponsor", "type",
+    "contract", "articletype", "language", "url", "medium", "updated",
+    "lastchecked", "part", "extent", "conference", "conferencedate",
+    "conferenceplace", "term", "country", "section", "column",
+    "affiliation", "inpress", "pagination", "datesep", "note", "x-unknown",
+]
+_LATEX_ALPHABET = "\\{}$-&%_#~ ,.;aAbcdfgnoSstvxyz01239\t\n\xa0"
+_FIELD_VALUES = st.one_of(
+    st.sampled_from([
+        "", " ", "2001", "2002 Jul 25", "c2000-01", "c2000 -", "Jul", "13",
+        "12-14", "45", "284-7", "iii-v", "19-5", "continuous", "other",
+        ".", ";", "yes", "no", "Smith, J and and Doe, A", "others",
+        "{A Group}", "van Beethoven, Ludwig", "\\foo T", "{\\&} x--y",
+        "$a--b$", "http://x/a  b",
+    ]),
+    st.text(alphabet=_LATEX_ALPHABET, max_size=24),
+    st.text(max_size=12),
+)
+
+
+def _diagnostic_multiset(diags):
+    return Counter((d.severity, d.code, d.message, d.offset) for d in diags)
+
+
+@st.composite
+def _raw_entries(draw):
+    entry_type = draw(st.sampled_from([
+        "techreport", "patent", "dictionary", "inbook", "phdthesis",
+        "article", "book", "artwork"]))
+    names = draw(st.lists(st.sampled_from(_NORMALIZE_FIELDS), unique=True,
+                          max_size=16))
+    fields = {name: draw(_FIELD_VALUES) for name in names}
+    start = draw(st.integers(min_value=0, max_value=500))
+    return RawEntry(entry_type, "k", fields, span=(start, start + 9))
+
+
 class TestParseNames:
     def test_two_personal_names(self):
         result = parse_names("Halpern, Scott D. and Ubel, Peter A.")
@@ -229,6 +417,12 @@ class TestParseNames:
     @example("a\x1cb")
     @example("others")
     @example("OTHERS")
+    @example("a and, b")
+    @example("A,,B")
+    @example("x\xa0and\xa0y")
+    @example(" AND ")
+    @example(",a")
+    @example("a,")
     def test_one_pass_split_matches_two_pass_reference(self, value):
         assert _outcome(parse_names, value) == _outcome(_ref_parse_names, value)
 
@@ -441,3 +635,20 @@ class TestNormalize:
             raw("article", author="and", title="t", journal="j"))
         assert record.contributors == ()
         assert any(d.code == "empty-name" for d in diags)
+
+    @given(_raw_entries())
+    @example(RawEntry("misc", "k", dict.fromkeys(_NORMALIZE_FIELDS, "\\z v")))
+    @example(RawEntry("techreport", "k", {
+        "issue": "\\x 2", "number": "\\y 1", "institution": "\\i",
+        "school": "", "publisher": "{}", "pages": "iii-v"}, span=(3, 9)))
+    @example(RawEntry("book", "k", {
+        "datesep": "x", "pagination": "Other", "day": "3", "month": "Smarch",
+        "year": "2000", "school": "\\s", "title": "\\t"}, span=(0, 9)))
+    @example(RawEntry("phdthesis", "k", {
+        "publisher": "P", "school": "\\s", "institution": "\\i",
+        "number": "1", "issue": "\\n"}))
+    def test_field_table_matches_reference(self, entry):
+        record, diags = normalize(entry)
+        expected, expected_diags = normalize_reference(entry)
+        assert record._asdict() == expected._asdict()
+        assert _diagnostic_multiset(diags) == _diagnostic_multiset(expected_diags)
