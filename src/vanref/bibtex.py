@@ -37,10 +37,8 @@ _NAME_RE = re.compile(_NAME)
 _TYPE_RE = re.compile(r"[A-Za-z]+")
 _KEY_BRACE_RE = re.compile(r"[^,\s{}]+")
 _KEY_PAREN_RE = re.compile(r"[^,\s()]+")
-# Skippable space is a whitespace run that starts with a space, tab or line
-# break; a run that starts with another space character (no-break space,
-# vertical tab) is not skipped, so it is a syntax error where a token is due.
-_SPACE = r"(?:[ \t\n\r]\s*)?"
+# Skippable space is any whitespace run, no-break spaces included.
+_SPACE = r"\s*"
 _SPACE_RE = re.compile(_SPACE)
 _HASH_RE = re.compile(_SPACE + "#" + _SPACE)
 # One field after the key: ``, name = {value}`` and the space after it.
@@ -372,11 +370,14 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
     Unknown control sequences are dropped; each adds a diagnostic when a
     sink list is supplied.  Never fails.
     """
+    m = _SPECIAL_RE.search(value)
+    if m is None:
+        return _flatten(value)
     out: list[str] = []
     i = 0
     in_math = False
     # jump from one special character to the next, copying the text between
-    while m := _SPECIAL_RE.search(value, i):
+    while m:
         j = m.start()
         out.append(value[i:j])
         c = value[j]
@@ -412,5 +413,6 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
         elif c == "-":
             out.append("-")
         # else a case-protection brace: drop it, keep the content
+        m = _SPECIAL_RE.search(value, i)
     out.append(value[i:])
     return _flatten("".join(out))

@@ -8,11 +8,13 @@ from typing import Iterable, Protocol, TypeVar
 
 from .diagnostics import Diagnostic, warning
 
-_CITE_RE = re.compile(r"\\cite\s*\{([^{}]*)\}")
-_KEY_RE = re.compile(r"[A-Za-z0-9.:*+/_-]+")
-# ``\\`` and ``\%`` are matched as pairs, so a backslash escapes only the
-# character after it; any other ``%`` starts a comment that runs to the line end.
-_COMMENT_RE = re.compile(r"\\[\\%]|%[^\n]*")
+_KEY = r"[A-Za-z0-9.:*+/_-]+"
+_KEY_RE = re.compile(_KEY)
+# A ``\cite`` and its brace group.  Group 1 is set when the group is a list
+# of well-formed keys, each with optional space around it; group 2 holds any
+# other group, which is checked key by key.
+_CITE_RE = re.compile(
+    rf"\\cite\s*\{{(?:(\s*{_KEY}\s*(?:,\s*{_KEY}\s*)*)|([^{{}}]*))\}}")
 
 
 @dataclass(frozen=True)
@@ -25,11 +27,33 @@ class CitationIndex:
 
 
 def _blank_comments(text: str) -> str:
-    """Replace %-to-EOL comments with spaces so offsets stay stable."""
-    def blank(match: re.Match) -> str:
-        found = match.group(0)
-        return found if found[0] == "\\" else " " * len(found)
-    return _COMMENT_RE.sub(blank, text)
+    """Replace %-to-EOL comments with spaces so offsets stay stable.
+
+    A backslash escapes only the character after it, so a ``%`` after an
+    odd run of backslashes is text and any other ``%`` starts a comment.
+    Only the ``%`` characters are visited; each backslash run is counted
+    once, by the one character that ends it.
+    """
+    pieces: list[str] = []
+    done = 0  # text[:done] is already in pieces
+    pct = text.find("%")
+    while pct != -1:
+        run = pct
+        while run and text[run - 1] == "\\":
+            run -= 1
+        if (pct - run) % 2:
+            pct = text.find("%", pct + 1)
+            continue
+        end = text.find("\n", pct)
+        if end == -1:
+            end = len(text)
+        pieces += (text[done:pct], " " * (end - pct))
+        done = end
+        pct = text.find("%", end)
+    if not pieces:
+        return text
+    pieces.append(text[done:])
+    return "".join(pieces)
 
 
 def scan_citations(text: str) -> CitationIndex:
@@ -44,8 +68,11 @@ def scan_citations(text: str) -> CitationIndex:
     occurrences: list[tuple[str, int]] = []
     diagnostics: list[Diagnostic] = []
     for match in _CITE_RE.finditer(source):
-        group = match.group(1)
+        keys, group = match.groups()
         offset = match.start()
+        if keys is not None:
+            occurrences += [(key.strip(), offset) for key in keys.split(",")]
+            continue
         if not group.strip():
             diagnostics.append(warning(
                 "empty-cite-group", "\\cite with no citation key", offset))

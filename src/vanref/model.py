@@ -1,6 +1,6 @@
 """Typed bibliographic records: contributors, dates, pagination, entry types.
 
-Everything here is an immutable value type; normalization turns a
+Records and their parts are immutable named tuples; normalization turns a
 :class:`~vanref.bibtex.RawEntry` into a :class:`BibRecord` plus diagnostics
 and never raises on odd input.
 """
@@ -8,11 +8,11 @@ and never raises on odd input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .bibtex import RawEntry, _flatten, strip_latex
+from .bibtex import _SPECIAL_RE, RawEntry, _flatten, strip_latex
 from .diagnostics import Diagnostic, error, warning
 
 
@@ -24,21 +24,40 @@ class NameParseError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
-class PersonName:
+class _Checked:
+    """Mixin for a named tuple whose constructor checks its fields.
+
+    ``_make``, and so ``_replace``, build through that constructor, so no
+    copy skips the checks.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _PersonNameFields(NamedTuple):
+    family: str
+    given: str
+    particle: str
+    suffix: str
+    literal: str
+
+
+class PersonName(_Checked, _PersonNameFields):
     """One contributor: either a personal name or a corporate literal."""
 
-    family: str = ""
-    given: str = ""
-    particle: str = ""
-    suffix: str = ""
-    literal: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if bool(self.family) == bool(self.literal):
+    def __new__(cls, family: str = "", given: str = "", particle: str = "",
+                suffix: str = "", literal: str = ""):
+        if bool(family) == bool(literal):
             raise ValueError("exactly one of family/literal must be set")
-        if "," in self.suffix:
+        if "," in suffix:
             raise ValueError("suffix must not contain a comma")
+        return tuple.__new__(cls, (family, given, particle, suffix, literal))
 
 
 class Role(Enum):
@@ -51,45 +70,57 @@ class Role(Enum):
     ORGANIZATION = "organization"
 
 
-@dataclass(frozen=True)
-class ContributorList:
+class _ContributorListFields(NamedTuple):
     names: tuple[PersonName, ...]
-    role: Role = Role.AUTHOR
-    truncated: bool = False  # source ended with "and others"
+    role: Role
+    truncated: bool  # source ended with "and others"
 
-    def __post_init__(self):
-        if not self.names:
+
+class ContributorList(_Checked, _ContributorListFields):
+    __slots__ = ()
+
+    def __new__(cls, names: tuple[PersonName, ...], role: Role = Role.AUTHOR,
+                truncated: bool = False):
+        if not names:
             raise ValueError("a contributor list must hold at least one name")
+        return tuple.__new__(cls, (names, role, truncated))
 
 
-@dataclass(frozen=True)
-class PartialDate:
+class _PartialDateFields(NamedTuple):
+    year: int | str
+    month: int | None
+    day: int | None
+    day_end: int | None
+    circa: bool
+    open_ended: bool
+    raw: str
+
+
+class PartialDate(_Checked, _PartialDateFields):
     """A year with optional month/day detail, copyright and open-range forms.
 
     ``raw`` overrides rendering entirely (kept for forms like ``c2000-01``).
     """
 
-    year: int | str
-    month: int | None = None
-    day: int | None = None
-    day_end: int | None = None
-    circa: bool = False
-    open_ended: bool = False
-    raw: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.month is not None and not 1 <= self.month <= 12:
+    def __new__(cls, year: int | str, month: int | None = None,
+                day: int | None = None, day_end: int | None = None,
+                circa: bool = False, open_ended: bool = False, raw: str = ""):
+        if month is not None and not 1 <= month <= 12:
             raise ValueError("month out of range")
-        if self.day is not None:
-            if self.month is None:
+        if day is not None:
+            if month is None:
                 raise ValueError("a day requires a month")
-            if not 1 <= self.day <= 31:
+            if not 1 <= day <= 31:
                 raise ValueError("day out of range")
-        if self.day_end is not None:
-            if self.day is None:
+        if day_end is not None:
+            if day is None:
                 raise ValueError("a day range requires a start day")
-            if not self.day <= self.day_end <= 31:
+            if not day <= day_end <= 31:
                 raise ValueError("day range must stay within the month")
+        return tuple.__new__(
+            cls, (year, month, day, day_end, circa, open_ended, raw))
 
 
 class PageKind(Enum):
@@ -99,8 +130,7 @@ class PageKind(Enum):
     TEXT = "text"
 
 
-@dataclass(frozen=True)
-class PageExtent:
+class PageExtent(NamedTuple):
     kind: PageKind
     first: str = ""
     last: str = ""
@@ -268,13 +298,11 @@ def _plain_words(words: list[str]) -> str:
 
 
 def _person_from_parts(first: list[str], von: list[str], last: list[str],
-                       suffix: list[str]) -> PersonName:
-    return PersonName(
-        family=_plain_words(last),
-        given=_plain_words(first),
-        particle=_plain_words(von),
-        suffix=_plain_words(suffix),
-    )
+                       suffix: list[str],
+                       plain: Callable[[list[str]], str] = _plain_words,
+                       ) -> PersonName:
+    """Build a name from its parts' words; ``plain`` turns words into text."""
+    return PersonName(plain(last), plain(first), plain(von), plain(suffix))
 
 
 def _split_von_last(words: list[str]) -> tuple[list[str], list[str]]:
@@ -285,7 +313,8 @@ def _split_von_last(words: list[str]) -> tuple[list[str], list[str]]:
     return words[lowers[0]:lowers[-1] + 1], words[lowers[-1] + 1:]
 
 
-def _parse_one_name(words: list[str], parts: list[list[str]]) -> PersonName:
+def _parse_one_name(words: list[str], parts: list[list[str]],
+                    plain: Callable[[list[str]], str]) -> PersonName:
     if len(words) == 1 and words[0][0] == "{" and words[0][-1] == "}":
         inner, depth = words[0][1:-1], 0
         for c in inner:  # the outer braces must be one group
@@ -301,16 +330,16 @@ def _parse_one_name(words: list[str], parts: list[list[str]]) -> PersonName:
         i = next((i for i, w in enumerate(tokens[:-1]) if _is_lower_word(w)),
                  len(tokens) - 1)
         von, last = _split_von_last(tokens[i:])
-        return _person_from_parts(tokens[:i], von, last, [])
+        return _person_from_parts(tokens[:i], von, last, [], plain)
     left = parts[0]
     if left and _is_lower_word(left[0]):
         von, last = _split_von_last(left)
     else:
         von, last = [], left
     if len(parts) == 2:
-        return _person_from_parts(parts[1], von, last, [])
+        return _person_from_parts(parts[1], von, last, [], plain)
     first = [w for grp in parts[2:] for w in grp]
-    return _person_from_parts(first, von, last, parts[1])
+    return _person_from_parts(first, von, last, parts[1], plain)
 
 
 def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
@@ -322,6 +351,9 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
     ``and others`` sets the truncation flag.
     """
     pieces = _scan_names(value)
+    # With no LaTeX in the field, strip_latex would only join a part's
+    # words, which hold no whitespace.
+    plain = _plain_words if _SPECIAL_RE.search(value) else " ".join
     last_words = pieces[-1][0]
     truncated = len(last_words) == 1 and last_words[0].lower() == "others"
     if truncated:
@@ -333,7 +365,7 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
         if not words:
             raise NameParseError(f"empty name at position {index}", index)
         try:
-            names.append(_parse_one_name(words, parts))
+            names.append(_parse_one_name(words, parts, plain))
         except ValueError as exc:
             raise NameParseError(
                 f"unusable name at position {index}: {exc}", index) from exc
@@ -343,7 +375,7 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
 def initials(given: str) -> str:
     """NLM initials: first letter of each space- or hyphen-separated token."""
     out = []
-    for token in re.split(r"[\s\-]+", given):
+    for token in given.replace("-", " ").split():
         for c in token:
             if c.isalpha():
                 out.append(c.upper())
@@ -563,6 +595,11 @@ _DATE_FIELDS = {
 _DAY_RE = re.compile(r"(\d{1,2})(?:-(\d{1,2}))?")
 
 
+def _shadowed(name: str, winner: str) -> Diagnostic:
+    return warning("shadowed-field",
+                   f"field '{name}' ignored: '{winner}' is used instead")
+
+
 def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     """Build a typed record from a raw entry, collecting diagnostics.
 
@@ -596,8 +633,13 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
 
     entry_type = map_entry_type(raw, diags)
 
-    date = parse_date(_flatten(f["date"]), diags) if "date" in f else None
-    if date is None and "year" in f:
+    date = None
+    if "date" in f:
+        date = parse_date(_flatten(f["date"]), diags)
+        for name in ("year", "month", "day"):
+            if name in f:
+                diags.append(_shadowed(name, "date"))
+    elif "year" in f:
         year_text = _flatten(f["year"])
         month = parse_month(f["month"]) if "month" in f else None
         if "month" in f and month is None:
@@ -652,6 +694,8 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     else:
         issue = number_value or plain("issue")
         report_number = ""
+        if number_value and "issue" in f:
+            diags.append(_shadowed("issue", "number"))
 
     record = BibRecord(
         key=raw.key,

@@ -8,7 +8,7 @@ out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -129,23 +129,15 @@ def format_date(date: PartialDate) -> str:
 
 def format_name(name: PersonName) -> str:
     """``[particle ]Family II[ suffix]``; corporate literals pass verbatim."""
-    if name.literal:
-        return name.literal
-    parts = [p for p in (name.particle, name.family) if p]
-    out = " ".join(parts)
-    ii = initials(name.given)
+    family, given, particle, suffix, literal = name
+    if literal:
+        return literal
+    out = f"{particle} {family}" if particle else family
+    ii = initials(given)
     if ii:
-        out += f" {ii}"
-    if name.suffix:
-        out += f" {name.suffix}"
-    return out
-
-
-def _join_names(rendered: list[str], literal_flags: list[bool]) -> str:
-    """Join names, separating corporate literals with semicolons."""
-    out = rendered[0]
-    for prev_lit, cur_lit, text in zip(literal_flags, literal_flags[1:], rendered[1:]):
-        out += ("; " if prev_lit or cur_lit else ", ") + text
+        out += " " + ii
+    if suffix:
+        out += " " + suffix
     return out
 
 
@@ -157,18 +149,18 @@ def format_contributors(lists: tuple[ContributorList, ...] | list[ContributorLis
     Within a list the first ``max_authors_before_etal`` names are shown and
     any overflow (or a truncated source) becomes ``et al.``; role labels are
     appended per list, pluralized by name count; lists join with ``; ``.
+    Corporate literals are set off from their neighbours with ``; ``.
     """
+    limit = style.max_authors_before_etal
     blocks = []
-    for contributor_list in lists:
-        names = list(contributor_list.names)
-        shown = names[:style.max_authors_before_etal]
-        rendered = [format_name(n) for n in shown]
-        flags = [bool(n.literal) for n in shown]
-        body = _join_names(rendered, flags)
-        if contributor_list.truncated or len(names) > style.max_authors_before_etal:
-            body += f", {style.etal_text}"
-        role = contributor_list.role
-        if role not in (Role.AUTHOR, Role.ORGANIZATION):
+    for names, role, truncated in lists:
+        shown = names[:limit]
+        body = format_name(shown[0])
+        for prev, name in zip(shown, shown[1:]):
+            body += ("; " if prev.literal or name.literal else ", ") + format_name(name)
+        if truncated or len(names) > limit:
+            body += ", " + style.etal_text
+        if role is not Role.AUTHOR and role is not Role.ORGANIZATION:
             body += f", {role.value}" + ("s" if len(names) > 1 else "")
         blocks.append(body)
     out = "; ".join(blocks)
@@ -259,7 +251,7 @@ def _web_date_block(rec: BibRecord) -> str:
 def _year_text(rec: BibRecord) -> str:
     if rec.date is None:
         return ""
-    return format_date(replace(rec.date, month=None, day=None, day_end=None))
+    return format_date(rec.date._replace(month=None, day=None, day_end=None))
 
 
 def _part_extent(rec: BibRecord) -> str:

@@ -48,9 +48,7 @@ _REF_SPACE_RE = re.compile(r"\s*")
 
 
 def _skip_space_reference(text, i):
-    if i < len(text) and text[i] in " \t\n\r":
-        return _REF_SPACE_RE.match(text, i).end()
-    return i
+    return _REF_SPACE_RE.match(text, i).end()
 
 
 def _scan_braced_reference(text, i):
@@ -435,6 +433,14 @@ class TestParseDatabase:
             '@preamble{"\\\\newcommand{x}"}\n'
             "@misc{k, t={v}}")
         assert [e.key for e in db.entries] == ["k"]
+
+    def test_no_break_space_is_skippable_space(self):
+        db = parse_database("@misc{k,\xa0title\xa0=\xa0{x}\xa0}")
+        assert db.entries[0].fields == {"title": "x"}
+        assert db.diagnostics == []
+        db = parse_database("@misc{k, title={x}\xa0# {y}}")
+        assert db.entries[0].fields == {"title": "xy"}
+        assert db.diagnostics == []
 
     def test_percent_comment_outside_entries(self):
         db = parse_database("% @misc{ghost, t={v}}\n@misc{real, t={v}}")

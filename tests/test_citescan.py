@@ -1,9 +1,68 @@
 """Citation extraction and numbering."""
 
-from hypothesis import given, strategies as st
+import re
+import time
+
+from hypothesis import example, given, strategies as st
 
 from vanref.citescan import _blank_comments, resolve, scan_citations
+from vanref.diagnostics import warning
 from vanref.model import BibRecord, EntryType
+
+
+# Reference for ``scan_citations``: the earlier version, which blanked
+# comments with one regex substitution and checked every key of a group
+# one by one.
+
+_REF_CITE_RE = re.compile(r"\\cite\s*\{([^{}]*)\}")
+_REF_KEY_RE = re.compile(r"[A-Za-z0-9.:*+/_-]+")
+_REF_COMMENT_RE = re.compile(r"\\[\\%]|%[^\n]*")
+
+
+def _blank_comments_reference(text):
+    def blank(match):
+        found = match.group(0)
+        return found if found[0] == "\\" else " " * len(found)
+    return _REF_COMMENT_RE.sub(blank, text)
+
+
+def scan_citations_reference(text):
+    source = _blank_comments_reference(text)
+    occurrences = []
+    diagnostics = []
+    for match in _REF_CITE_RE.finditer(source):
+        group = match.group(1)
+        offset = match.start()
+        if not group.strip():
+            diagnostics.append(warning(
+                "empty-cite-group", "\\cite with no citation key", offset))
+            continue
+        for raw_key in group.split(","):
+            key = raw_key.strip()
+            if not key or not _REF_KEY_RE.fullmatch(key):
+                diagnostics.append(warning(
+                    "malformed-key", f"malformed citation key {raw_key.strip()!r}",
+                    offset))
+                continue
+            occurrences.append((key, offset))
+    return (tuple(dict.fromkeys(key for key, _ in occurrences)),
+            tuple(occurrences), tuple(diagnostics))
+
+
+# Manuscript text: ``\cite{`` as one token, plus single characters that make
+# comments, escapes, key lists, odd spaces and malformed keys.
+_TEX_TOKENS = ["\\cite{", *"\\cite{}, %\n\t\xa0aZ0.:*+/_-"]
+
+
+def scanned(text):
+    index = scan_citations(text)
+    return index.keys, index.occurrences, index.diagnostics
+
+
+def timed_scan(text):
+    started = time.perf_counter()
+    index = scan_citations(text)
+    return index, time.perf_counter() - started
 
 
 def record(key):
@@ -64,6 +123,34 @@ class TestScanCitations:
                 expected.append(c)
             escaped = c == "\\" and not escaped
         assert _blank_comments(text) == "".join(expected)
+
+    @given(st.lists(st.sampled_from(_TEX_TOKENS), max_size=60).map("".join))
+    @example("\\cite{ a ,b\t}\\cite{a,,b}\\cite{\xa0}\\cite{a b}")
+    @example("\\cite{a\\}\\cite{a%}\n\\\\%\\cite{b}\n\\\\\\%\\cite{c}")
+    @example("\\cite{a,}\\cite{,a}\\cite{a\nb}\\cite {a}\\cite\n{b}")
+    def test_scan_matches_reference(self, text):
+        assert scanned(text) == scan_citations_reference(text)
+
+    def test_long_group_with_a_bad_last_key_scans_in_linear_time(self):
+        text = "\\cite{" + ",".join(f"k{i}" for i in range(200_000)) + ",bad key}"
+        index, elapsed = timed_scan(text)
+        assert len(index.keys) == 200_000
+        assert [d.message for d in index.diagnostics] == [
+            "malformed citation key 'bad key'"]
+        assert elapsed < 1.0
+
+    def test_long_backslash_run_before_percent_scans_in_linear_time(self):
+        text = "\\" * 1_000_000 + "% \\cite{ghost}\n\\cite{k}"
+        index, elapsed = timed_scan(text)
+        assert index.keys == ("k",)
+        assert elapsed < 1.0
+
+    def test_many_escaped_percents_scan_in_linear_time(self):
+        text = ("\\" * 51 + "% \\cite{k}\n") * 20_000
+        index, elapsed = timed_scan(text)
+        assert index.keys == ("k",)
+        assert len(index.occurrences) == 20_000
+        assert elapsed < 1.0
 
     def test_cite_variants_are_not_recognized(self):
         index = scan_citations("\\citep{x}\\citet{y}\\citeauthor{z}")

@@ -314,6 +314,24 @@ class TestCheck:
         assert err == (f"{bib}:1:1: error: entry 'k': bad author field: "
                        "empty name at position 0 [empty-name]\n")
 
+    def test_shadowed_fields_warn(self, tmp_path):
+        bib = tmp_path / "shadow.bib"
+        bib.write_text(
+            "@article{a, author={Smith, J}, title={T}, journal={J}, year={2001},\n"
+            "  volume={4}, number={2}, issue={3}}\n"
+            "@article{b, author={Smith, J}, title={T}, journal={J},\n"
+            "  date={2001}, year={1999}, month={Jul}}\n", encoding="utf-8")
+        code, out, err = run_check(bib_paths=[str(bib)])
+        assert code == 0
+        assert out == "checked 2 entries: 0 errors, 3 warnings\n"
+        assert err == (
+            f"{bib}:1:1: warning: field 'issue' ignored: 'number' is used "
+            "instead [shadowed-field]\n"
+            f"{bib}:3:1: warning: field 'year' ignored: 'date' is used "
+            "instead [shadowed-field]\n"
+            f"{bib}:3:1: warning: field 'month' ignored: 'date' is used "
+            "instead [shadowed-field]\n")
+
     def test_duplicate_key_warns_only(self, tmp_path):
         dup = tmp_path / "dup.bib"
         dup.write_text(

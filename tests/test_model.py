@@ -1,5 +1,7 @@
 """Name, date, page and entry-type normalization."""
 
+import copy
+import pickle
 import re
 from collections import Counter
 from dataclasses import replace
@@ -195,6 +197,10 @@ def normalize_reference(raw):
     entry_type = map_entry_type(raw, diags)
 
     date = date_of("date")
+    for name in ("year", "month", "day"):
+        if date is not None and name in f:
+            diags.append(warning(
+                "shadowed-field", f"field '{name}' ignored: 'date' is used instead"))
     if date is None and "year" in f:
         year_text = verbatim("year")
         month = parse_month(f["month"]) if "month" in f else None
@@ -248,6 +254,9 @@ def normalize_reference(raw):
     else:
         issue = number_value or plain("issue")
         report_number = ""
+        if number_value and "issue" in f:
+            diags.append(warning(
+                "shadowed-field", "field 'issue' ignored: 'number' is used instead"))
 
     record = BibRecord(
         key=raw.key,
@@ -343,6 +352,48 @@ def _raw_entries(draw):
     fields = {name: draw(_FIELD_VALUES) for name in names}
     start = draw(st.integers(min_value=0, max_value=500))
     return RawEntry(entry_type, "k", fields, span=(start, start + 9))
+
+
+# Each check of a value type: a valid value, and fields that break it.
+_CHECKED_VALUES = [
+    (PersonName(family="Smith"), {"family": ""}),
+    (PersonName(family="Smith"), {"literal": "Group"}),
+    (PersonName(family="Smith"), {"suffix": "Jr, III"}),
+    (PartialDate(2001, 7, 3, 5), {"month": 13}),
+    (PartialDate(2001, 7, 3, 5), {"month": None}),
+    (PartialDate(2001, 7, 3, 5), {"day": 32}),
+    (PartialDate(2001, 7, 3, 5), {"day": None}),
+    (PartialDate(2001, 7, 3, 5), {"day_end": 2}),
+    (PartialDate(2001, 7, 3, 5), {"day_end": 32}),
+    (ContributorList((PersonName(family="Smith"),)), {"names": ()}),
+]
+
+
+def _broken_copies(value, changes):
+    """Every way to build ``value`` with ``changes``, as thunks."""
+    fields = {**value._asdict(), **changes}
+    yield lambda: type(value)(**fields)
+    yield lambda: type(value)(*fields.values())
+    yield lambda: type(value)._make(fields.values())
+    yield lambda: value._replace(**changes)
+    if hasattr(copy, "replace"):  # Python 3.13
+        yield lambda: copy.replace(value, **changes)
+
+
+class TestValueChecks:
+    @pytest.mark.parametrize("value,changes", _CHECKED_VALUES)
+    def test_every_construction_path_checks(self, value, changes):
+        for build in _broken_copies(value, changes):
+            with pytest.raises(ValueError):
+                build()
+
+    @pytest.mark.parametrize("value", sorted({v for v, _ in _CHECKED_VALUES}, key=repr))
+    def test_valid_values_copy_equal(self, value):
+        assert value._replace() == value
+        assert type(value)._make(value) == value
+        assert copy.copy(value) == copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert type(pickle.loads(pickle.dumps(value))) is type(value)
 
 
 class TestParseNames:
@@ -629,6 +680,28 @@ class TestNormalize:
         assert {d.offset for d in diags} == {40}
         _, diags = normalize(RawEntry("misc", "k", {"title": "T"}, span=(7, 20)))
         assert [(d.code, d.offset) for d in diags] == [("missing-date", 7)]
+
+    def test_date_shadows_year_month_and_day(self):
+        record, diags = normalize(raw("article", title="t", journal="j",
+                                      date="2001", year="1999", month="Jul"))
+        assert record.date == PartialDate(2001)
+        assert [(d.code, d.message) for d in diags] == [
+            ("shadowed-field", "field 'year' ignored: 'date' is used instead"),
+            ("shadowed-field", "field 'month' ignored: 'date' is used instead")]
+
+    def test_number_shadows_issue_except_in_reports(self):
+        record, diags = normalize(raw("article", title="t", journal="j",
+                                      year="2001", number="2", issue="3"))
+        assert record.issue == "2"
+        assert [(d.code, d.message) for d in diags] == [
+            ("shadowed-field", "field 'issue' ignored: 'number' is used instead")]
+        for entry_type in ("techreport", "patent"):
+            _, diags = normalize(raw(entry_type, title="t", year="2001",
+                                     number="2", issue="3"))
+            assert diags == []
+        _, diags = normalize(raw("article", title="t", journal="j",
+                                 year="2001", number="", issue="3"))
+        assert diags == []
 
     def test_bad_name_field_is_error_not_crash(self):
         record, diags = normalize(
