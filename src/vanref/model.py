@@ -60,14 +60,15 @@ class PersonName(_Checked, _PersonNameFields):
         return tuple.__new__(cls, (family, given, particle, suffix, literal))
 
 
+# Each role's value is its ``.bib`` field; contributor lists keep this order.
 class Role(Enum):
     AUTHOR = "author"
+    ORGANIZATION = "organization"
     EDITOR = "editor"
     COMPILER = "compiler"
     INVENTOR = "inventor"
     ASSIGNEE = "assignee"
     CARTOGRAPHER = "cartographer"
-    ORGANIZATION = "organization"
 
 
 class _ContributorListFields(NamedTuple):
@@ -193,7 +194,6 @@ class BibRecord(NamedTuple):
     report_number: str = ""
     contract_number: str = ""
     article_type: str = ""
-    language_note: str = ""
     url: str = ""
     medium: str = ""
     updated: PartialDate | None = None
@@ -537,15 +537,7 @@ def map_entry_type(raw: RawEntry,
     return base
 
 
-_ROLE_FIELDS = [
-    ("author", Role.AUTHOR),
-    ("organization", Role.ORGANIZATION),
-    ("editor", Role.EDITOR),
-    ("compiler", Role.COMPILER),
-    ("inventor", Role.INVENTOR),
-    ("assignee", Role.ASSIGNEE),
-    ("cartographer", Role.CARTOGRAPHER),
-]
+_ROLE_FIELDS = [(role.value, role) for role in Role]
 
 # Values read as "yes" in flag-like fields.
 TRUE_WORDS = {"yes", "true", "1", "on"}
@@ -571,7 +563,6 @@ _PLAIN_FIELDS = {
     "type": "report_type",
     "contract": "contract_number",
     "articletype": "article_type",
-    "language": "language_note",
     "medium": "medium",
     "part": "part_title",
     "extent": "extent_text",
@@ -592,6 +583,19 @@ _DATE_FIELDS = {
     "conferencedate": "conference_date",
 }
 
+# The ``.bib`` fields each record attribute and role is built from, winner first.
+BIB_FIELDS: dict[str | Role, tuple[str, ...]] = {attr: (name,) for name, attr in [
+    *_PLAIN_FIELDS.items(), *_DATE_FIELDS.items(), *_ROLE_FIELDS]}
+BIB_FIELDS.update(
+    issue=("number", "issue"), report_number=("number",),
+    publisher=("publisher", "school", "institution"),
+    date=("date", "year", "month", "day"), pages=("pages",),
+    term_pages=("pages",), url=("url",), in_press=("inpress",),
+    continuous_pagination=("pagination",), date_separator=("datesep",))
+
+# ``.bib`` fields every entry type accepts though no template prints them.
+UNPRINTED_FIELDS = frozenset({"language", "note", "key"})
+
 _DAY_RE = re.compile(r"(\d{1,2})(?:-(\d{1,2}))?")
 
 
@@ -604,8 +608,9 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     """Build a typed record from a raw entry, collecting diagnostics.
 
     Every diagnostic points at the entry's ``@`` (``raw.span[0]``).  The
-    fields in the two tables above are read in the entry's own order; the
-    rest need the entry type or other fields and are read one by one.
+    fields in ``_PLAIN_FIELDS`` and ``_DATE_FIELDS`` are read in the entry's
+    own order; the rest need the entry type or other fields and are read
+    one by one.
     """
     diags: list[Diagnostic] = []
     f = raw.fields
@@ -644,7 +649,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         month = parse_month(f["month"]) if "month" in f else None
         if "month" in f and month is None:
             diags.append(warning(
-                "unparsed-date", f"month kept verbatim: '{f['month']}'"))
+                "unparsed-date", f"month '{f['month']}' ignored"))
         day = day_end = None
         if "day" in f:
             m = _DAY_RE.fullmatch(f["day"].strip())
@@ -653,7 +658,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                 day_end = int(m.group(2)) if m.group(2) else None
             else:
                 diags.append(warning(
-                    "unparsed-date", f"day kept verbatim: '{f['day']}'"))
+                    "unparsed-date", f"day '{f['day']}' ignored"))
         try:
             date = PartialDate(
                 year=int(year_text) if year_text.isdigit() else year_text,
@@ -697,6 +702,14 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         if number_value and "issue" in f:
             diags.append(_shadowed("issue", "number"))
 
+    # a fallback is stripped (and reports) only if the fields before it are empty
+    publisher = winner = ""
+    for name in BIB_FIELDS["publisher"]:
+        if not publisher:
+            publisher, winner = plain(name), name
+        elif name in f:
+            diags.append(_shadowed(name, winner))
+
     record = BibRecord(
         key=raw.key,
         entry_type=entry_type,
@@ -705,8 +718,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         issue=issue,
         pages=pages,
         date=date,
-        # a fallback is stripped (and reports) only if the fields before it are empty
-        publisher=plain("publisher") or plain("school") or plain("institution"),
+        publisher=publisher,
         report_number=report_number,
         url=_flatten(f["url"]) if "url" in f else "",
         term_pages=term_pages,

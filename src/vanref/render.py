@@ -1,9 +1,9 @@
 """Vancouver-style reference rendering.
 
 :data:`TEMPLATES` has one row per entry type: its template function, the
-record attributes the template requires and the ``.bib`` fields the
-``unknown-field`` lint accepts.  All functions are pure: strings in, strings
-out.
+record attributes it requires and the attributes and roles it can print,
+which :data:`vanref.model.BIB_FIELDS` turns into the ``.bib`` fields the
+``unknown-field`` lint accepts.  All functions are pure: strings in, strings out.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .model import (
+    BIB_FIELDS,
+    UNPRINTED_FIELDS,
     BibRecord,
     ContributorList,
     EntryType,
@@ -479,79 +481,65 @@ class Template(NamedTuple):
     """How one entry type renders and what it takes."""
 
     render: Callable[[BibRecord, StyleConfig], str]
-    requires: tuple[str, ...]   # record attributes, checked in this order
-    fields: frozenset[str]      # .bib fields the unknown-field lint accepts
+    requires: tuple[str, ...]       # record attributes, checked in this order
+    reads: tuple[str | Role, ...]   # record attributes and roles it can print
+    fields: frozenset[str]          # .bib fields the unknown-field lint accepts
 
 
-# .bib field families; every entry type accepts the common fields.
-_COMMON_FIELDS = frozenset({
-    "title", "year", "month", "day", "date", "language", "note", "key",
-})
+def _template(render: Callable[[BibRecord, StyleConfig], str],
+              requires: tuple[str, ...], *reads: str | Role) -> Template:
+    fields = UNPRINTED_FIELDS.union(*(BIB_FIELDS[name] for name in reads))
+    return Template(render, requires, reads, fields)
 
-_CONTRIBUTOR_FIELDS = _COMMON_FIELDS | {
-    "author", "editor", "compiler", "organization",
-}
 
-_JOURNAL_FIELDS = _CONTRIBUTOR_FIELDS | {
-    "journal", "volume", "number", "issue", "volsuppl", "issuesuppl",
-    "volpart", "issuepart", "pages", "epub", "pmid", "retractionof",
-    "retractionin", "erratumin", "republishedfrom", "articletype",
-    "inpress", "pagination",
-}
-
-_WEB_FIELDS = _COMMON_FIELDS | {
-    "url", "medium", "updated", "lastchecked", "part", "extent", "datesep",
-}
-
-_BOOK_FIELDS = _CONTRIBUTOR_FIELDS | {
-    "address", "publisher", "edition", "medium",
-}
-
-_CONFERENCE_FIELDS = frozenset({"conference", "conferencedate", "conferenceplace"})
+# What the templates read, in pieces they share.
+_PEOPLE = (Role.AUTHOR, Role.ORGANIZATION, "title")
+_BOOK_PEOPLE = (*_PEOPLE, Role.EDITOR, Role.COMPILER)
+_IMPRINT = ("place", "publisher", "date", "date_separator")
+_CONFERENCE = ("conference_name", "conference_date", "conference_place")
+_ARTICLE = (*_PEOPLE, "article_type", "journal", "in_press", "date", "volume",
+            "issue", "volume_supplement", "issue_supplement", "volume_part",
+            "issue_part", "continuous_pagination", "pages", "date_epub", "pmid",
+            "retraction_of", "retraction_in", "erratum_in", "republished_from")
+_MEDIA = _template(_render_media_monograph, ("title",), *_BOOK_PEOPLE,
+                   Role.CARTOGRAPHER, "medium", *_IMPRINT)
+_WEB = ("url", "medium", "updated", "cited")
+_WEB_MONOGRAPH = _template(
+    _render_web_monograph, ("title", "url"), *_BOOK_PEOPLE, "edition",
+    *_IMPRINT, *_WEB, "part_title", "extent_text")
+_CHAPTER = _template(_render_chapter, ("title", "booktitle"), *_BOOK_PEOPLE,
+                     "booktitle", *_CONFERENCE, *_IMPRINT, "pages")
 
 TEMPLATES: dict[EntryType, Template] = {
-    EntryType.ARTICLE: Template(
-        _render_article, ("title", "journal"), _JOURNAL_FIELDS),
-    EntryType.WEBJOURNAL: Template(
-        _render_webjournal, ("url", "title"), _JOURNAL_FIELDS | _WEB_FIELDS),
-    EntryType.BOOK: Template(
-        _render_book, ("title",), _BOOK_FIELDS),
-    EntryType.DICTIONARY: Template(
-        _render_dictionary, ("title",), _BOOK_FIELDS | {"term", "pages"}),
-    EntryType.CHAPTER: Template(
-        _render_chapter, ("title", "booktitle"),
-        _BOOK_FIELDS | {"booktitle", "pages"}),
-    EntryType.INPROCEEDINGS: Template(
-        _render_chapter, ("title", "booktitle"),
-        _BOOK_FIELDS | {"booktitle", "pages"} | _CONFERENCE_FIELDS),
-    EntryType.PROCEEDINGS: Template(
-        _render_proceedings, ("title",), _BOOK_FIELDS | _CONFERENCE_FIELDS),
-    EntryType.TECHREPORT: Template(
-        _render_techreport, ("title",), _BOOK_FIELDS | {
-            "institution", "affiliation", "type", "number", "contract",
-            "sponsor"}),
-    EntryType.DISSERTATION: Template(
-        _render_media_monograph, ("title",), _BOOK_FIELDS | {"school"}),
-    EntryType.AUDIOVISUAL: Template(
-        _render_media_monograph, ("title",), _BOOK_FIELDS),
-    EntryType.CDROM: Template(
-        _render_media_monograph, ("title",), _BOOK_FIELDS),
-    EntryType.MAP: Template(
-        _render_media_monograph, ("title",), _BOOK_FIELDS | {"cartographer"}),
-    EntryType.PATENT: Template(
-        _render_patent, ("title", "report_number"),
-        _COMMON_FIELDS | {"inventor", "assignee", "country", "number"}),
-    EntryType.NEWSPAPER: Template(
-        _render_newspaper, ("title", "journal"),
-        _CONTRIBUTOR_FIELDS | {"journal", "section", "pages", "column"}),
-    EntryType.WEBMONOGRAPH: Template(
-        _render_web_monograph, ("title", "url"), _BOOK_FIELDS | _WEB_FIELDS),
-    EntryType.WEBPAGE: Template(
-        _render_web_monograph, ("title", "url"), _BOOK_FIELDS | _WEB_FIELDS),
-    EntryType.WEBDATABASE: Template(
-        _render_web_monograph, ("title", "url"), _BOOK_FIELDS | _WEB_FIELDS),
-    EntryType.MISC: Template(
-        _render_generic, (), _BOOK_FIELDS | _WEB_FIELDS | _JOURNAL_FIELDS),
+    EntryType.ARTICLE: _template(_render_article, ("title", "journal"), *_ARTICLE),
+    EntryType.WEBJOURNAL: _template(
+        _render_webjournal, ("url", "title"), *_ARTICLE, *_WEB),
+    EntryType.BOOK: _template(
+        _render_book, ("title",), *_BOOK_PEOPLE, "edition", *_IMPRINT),
+    EntryType.DICTIONARY: _template(
+        _render_dictionary, ("title",), *_BOOK_PEOPLE, "edition", *_IMPRINT,
+        "defined_term", "term_pages"),
+    EntryType.CHAPTER: _CHAPTER,
+    EntryType.INPROCEEDINGS: _CHAPTER,
+    EntryType.PROCEEDINGS: _template(
+        _render_proceedings, ("title",), *_BOOK_PEOPLE, *_CONFERENCE, *_IMPRINT),
+    EntryType.TECHREPORT: _template(
+        _render_techreport, ("title",), *_PEOPLE, "affiliation", "report_type",
+        *_IMPRINT, "report_number", "contract_number", "sponsor"),
+    EntryType.DISSERTATION: _MEDIA,
+    EntryType.AUDIOVISUAL: _MEDIA,
+    EntryType.CDROM: _MEDIA,
+    EntryType.MAP: _MEDIA,
+    EntryType.PATENT: _template(
+        _render_patent, ("title", "report_number"), Role.INVENTOR,
+        Role.ASSIGNEE, Role.AUTHOR, "title", "country", "report_number", "date"),
+    EntryType.NEWSPAPER: _template(
+        _render_newspaper, ("title", "journal"), *_PEOPLE, "journal", "date",
+        "section", "pages", "column"),
+    EntryType.WEBMONOGRAPH: _WEB_MONOGRAPH,
+    EntryType.WEBPAGE: _WEB_MONOGRAPH,
+    EntryType.WEBDATABASE: _WEB_MONOGRAPH,
+    EntryType.MISC: _template(_render_generic, (), *_BOOK_PEOPLE, *_IMPRINT, "url"),
 }
 
 

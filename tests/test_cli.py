@@ -332,6 +332,45 @@ class TestCheck:
             f"{bib}:3:1: warning: field 'month' ignored: 'date' is used "
             "instead [shadowed-field]\n")
 
+    def test_unknown_field_means_never_printed(self, tmp_path):
+        bib = tmp_path / "probes.bib"
+        bib.write_text(
+            "@book{b1, author={Smith, J}, title={T}, school={Univ X},\n"
+            "  address={Oslo}, year={2001}, datesep={.}}\n"
+            "@phdthesis{d1, author={Smith, J}, cartographer={Doe, A}, title={T},\n"
+            "  school={U}, year={2001}}\n"
+            "@incollection{c1, author={Smith, J}, title={T}, booktitle={B},\n"
+            "  conference={C}, year={2001}}\n"
+            "@article{a1, author={Smith, J}, editor={Doe, A}, title={T},\n"
+            "  journal={J}, year={2001}}\n"
+            "@incollection{c2, author={Smith, J}, title={T}, booktitle={B},\n"
+            "  edition={2nd}, year={2001}}\n"
+            "@misc{m1, author={Smith, J}, title={T}, journal={J}, volume={4},\n"
+            "  pages={1-2}, year={2001}}\n"
+            "@techreport{t1, author={Smith, J}, title={T}, institution={I},\n"
+            "  publisher={P}, year={2001}}\n", encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(bib)])
+        assert code == 0
+        assert out == ("1. Smith J. T. Oslo: Univ X. 2001.\n"
+                       "2. Smith J; Doe A, cartographer. T [dissertation]. U; 2001.\n"
+                       "3. Smith J. T. In: B. C. 2001.\n"
+                       "4. Smith J. T. J. 2001.\n"
+                       "5. Smith J. T. In: B. 2001.\n"
+                       "6. Smith J. T. 2001.\n"
+                       "7. Smith J. T. P; 2001.\n")
+        unused = "warning: entry '{}': field '{}' not used by entry type '{}' " \
+                 "[unknown-field]\n"
+        assert err == (
+            f"{bib}:7:1: " + unused.format("a1", "editor", "article")
+            + f"{bib}:9:1: " + unused.format("c2", "edition", "chapter")
+            + "".join(f"{bib}:11:1: " + unused.format("m1", name, "misc")
+                      for name in ("journal", "volume", "pages"))
+            + f"{bib}:13:1: warning: field 'institution' ignored: 'publisher' "
+            "is used instead [shadowed-field]\n")
+        code, out, check_err = run_check(bib_paths=[str(bib)])
+        assert (code, out, check_err) == (
+            0, "checked 7 entries: 0 errors, 6 warnings\n", err)
+
     def test_duplicate_key_warns_only(self, tmp_path):
         dup = tmp_path / "dup.bib"
         dup.write_text(

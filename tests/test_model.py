@@ -206,7 +206,7 @@ def normalize_reference(raw):
         month = parse_month(f["month"]) if "month" in f else None
         if "month" in f and month is None:
             diags.append(warning(
-                "unparsed-date", f"month kept verbatim: '{f['month']}'"))
+                "unparsed-date", f"month '{f['month']}' ignored"))
         day = day_end = None
         if "day" in f:
             m = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", f["day"].strip())
@@ -215,7 +215,7 @@ def normalize_reference(raw):
                 day_end = int(m.group(2)) if m.group(2) else None
             else:
                 diags.append(warning(
-                    "unparsed-date", f"day kept verbatim: '{f['day']}'"))
+                    "unparsed-date", f"day '{f['day']}' ignored"))
         try:
             date = PartialDate(
                 year=int(year_text) if year_text.isdigit() else year_text,
@@ -258,6 +258,15 @@ def normalize_reference(raw):
             diags.append(warning(
                 "shadowed-field", "field 'issue' ignored: 'number' is used instead"))
 
+    publisher = plain("publisher") or plain("school") or plain("institution")
+    fallbacks = ["publisher", "school", "institution"]
+    for i, name in enumerate(fallbacks):
+        if name in f and strip_latex(f[name]):
+            diags.extend(warning(
+                "shadowed-field", f"field '{later}' ignored: '{name}' is used instead")
+                for later in fallbacks[i + 1:] if later in f)
+            break
+
     record = BibRecord(
         key=raw.key,
         entry_type=entry_type,
@@ -276,7 +285,7 @@ def normalize_reference(raw):
         date=date,
         date_epub=date_of("epub"),
         place=plain("address"),
-        publisher=plain("publisher") or plain("school") or plain("institution"),
+        publisher=publisher,
         edition=plain("edition"),
         pmid=plain("pmid"),
         retraction_of=plain("retractionof"),
@@ -288,7 +297,6 @@ def normalize_reference(raw):
         report_number=report_number,
         contract_number=plain("contract"),
         article_type=plain("articletype"),
-        language_note=plain("language"),
         url=verbatim("url"),
         medium=plain("medium"),
         updated=date_of("updated"),
@@ -702,6 +710,32 @@ class TestNormalize:
         _, diags = normalize(raw("article", title="t", journal="j",
                                  year="2001", number="", issue="3"))
         assert diags == []
+
+    def test_publisher_shadows_school_and_institution(self):
+        record, diags = normalize(raw("techreport", title="t", year="2001",
+                                      institution="I", publisher="P"))
+        assert record.publisher == "P"
+        assert [(d.code, d.message) for d in diags] == [
+            ("shadowed-field",
+             "field 'institution' ignored: 'publisher' is used instead")]
+        record, diags = normalize(raw("phdthesis", title="t", year="2001",
+                                      publisher="{}", school="S",
+                                      institution="I"))
+        assert record.publisher == "S"
+        assert [(d.code, d.message) for d in diags] == [
+            ("shadowed-field",
+             "field 'institution' ignored: 'school' is used instead")]
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"month": "Smarch"}, "month 'Smarch' ignored"),
+        ({"day": "4"}, "day '4' ignored"),
+    ])
+    def test_unusable_month_or_day_is_ignored(self, fields, message):
+        record, diags = normalize(raw("article", title="t", journal="j",
+                                      year="2001", **fields))
+        assert record.date == PartialDate(2001)
+        assert [(d.code, d.message) for d in diags] == [
+            ("unparsed-date", message)]
 
     def test_bad_name_field_is_error_not_crash(self):
         record, diags = normalize(

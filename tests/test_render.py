@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vanref.model import (
+    BIB_FIELDS,
+    UNPRINTED_FIELDS,
     BibRecord,
     ContributorList,
     EntryType,
+    PageExtent,
+    PageKind,
     PartialDate,
     PersonName,
     Role,
@@ -19,6 +23,7 @@ from vanref.model import (
 from vanref.render import (
     ConflictingLocator,
     DEFAULT_STYLE,
+    TEMPLATES,
     InvalidRange,
     MissingRequiredField,
     StyleConfig,
@@ -285,6 +290,64 @@ class TestRenderReference:
     def test_deterministic(self, corpus_records):
         record = corpus_records["pagedas:flexible"]
         assert render_reference(record) == render_reference(record)
+
+
+def read_logger(seen):
+    """A record class that adds each attribute and role read to ``seen``."""
+
+    class Logged(BibRecord):
+        __slots__ = ()
+
+        def __getattribute__(self, name):
+            if name in BibRecord._fields:
+                seen.add(name)
+            return super().__getattribute__(name)
+
+        def lists(self, *roles):
+            seen.update(roles)
+            return super().lists(*roles)
+
+    return Logged
+
+
+def _rich_values():
+    """A value for every attribute a template can print."""
+    values = {}
+    for name, default in BibRecord._field_defaults.items():
+        if isinstance(default, str):
+            values[name] = "x"
+        elif name == "pages":
+            values[name] = PageExtent(PageKind.SINGLE, "5")
+        elif default is None:
+            values[name] = PartialDate(2001, 2, 3)
+    # one supplement or part at most, so that the issue part is read
+    values.update(volume_supplement="", issue_supplement="", volume_part="",
+                  date_separator=".", raw_entry_type="")
+    return values
+
+
+class TestTemplateReads:
+    """``reads`` lists exactly what each template prints."""
+
+    @pytest.mark.parametrize("entry_type", list(EntryType))
+    def test_reads_drive_fields_and_match_the_renderer(self, entry_type):
+        template = TEMPLATES[entry_type]
+        assert set(template.requires) <= set(template.reads)
+        assert template.fields == UNPRINTED_FIELDS.union(
+            *(BIB_FIELDS[name] for name in template.reads))
+        seen = set()
+        logged, values = read_logger(seen), _rich_values()
+        everyone = tuple(ContributorList((person("Smith", "J"),), role=role)
+                         for role in Role)
+        editors = tuple(c for c in everyone if c.role in (
+            Role.EDITOR, Role.COMPILER, Role.CARTOGRAPHER))
+        render_reference(logged("k", entry_type, contributors=everyone, **values))
+        # no primary contributor, and in press
+        render_reference(logged("k", entry_type, contributors=editors, **{
+            **values, "in_press": True, "continuous_pagination": True}))
+        assert set(template.reads) <= seen
+        assert seen <= set(template.reads) | {
+            "key", "entry_type", "raw_entry_type", "contributors"}
 
 
 FORBIDDEN = ("  ", " .", "..")
