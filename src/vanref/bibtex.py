@@ -10,7 +10,7 @@ style never reaches later stages.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, error, warning
 
@@ -62,8 +62,7 @@ class BibtexSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class RawEntry:
+class RawEntry(NamedTuple):
     """One database record with verbatim (macro-expanded) field values."""
 
     entry_type: str
@@ -72,11 +71,10 @@ class RawEntry:
     span: tuple[int, int] = (0, 0)
 
 
-@dataclass
-class Database:
-    entries: list[RawEntry] = field(default_factory=list)
-    macros: dict[str, str] = field(default_factory=dict)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class Database(NamedTuple):
+    entries: list[RawEntry]
+    macros: dict[str, str]
+    diagnostics: list[Diagnostic]
 
 
 def _skip_space(text: str, i: int) -> int:
@@ -116,7 +114,7 @@ class _Parser:
 
     def __init__(self, text: str, macros: dict[str, str] | None = None):
         self.text = text
-        self.db = Database(macros={**MONTH_MACROS, **(macros or {})})
+        self.db = Database([], {**MONTH_MACROS, **(macros or {})}, [])
         self._seen_keys: set[str] = set()
         # offsets of the '{'s that are never closed, from the delimiter of
         # the first value that ran to the end of the text (see _never_closed)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Protocol, TypeVar
+from typing import Iterable, NamedTuple, Protocol, TypeVar
 
 from .diagnostics import Diagnostic, warning
 
@@ -17,8 +16,7 @@ _CITE_RE = re.compile(
     rf"\\cite\s*\{{(?:(\s*{_KEY}\s*(?:,\s*{_KEY}\s*)*)|([^{{}}]*))\}}")
 
 
-@dataclass(frozen=True)
-class CitationIndex:
+class CitationIndex(NamedTuple):
     """Cited keys in first-appearance order; a key's number is its position."""
 
     keys: tuple[str, ...] = ()

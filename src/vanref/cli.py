@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 from .bibtex import RawEntry, parse_database
 from .citescan import CitationIndex, scan_citations, resolve
@@ -26,9 +26,8 @@ EXIT_IO = 2
 Source = tuple[LineIndex, str]
 
 
-@dataclass
-class RunConfig:
-    bib_paths: list[str] = field(default_factory=list)
+class RunConfig(NamedTuple):
+    bib_paths: Sequence[str] = ()
     tex_path: str | None = None
     keys: list[str] | None = None
     out_path: str | None = None
@@ -76,7 +75,7 @@ class _Reporter:
         return EXIT_OK
 
 
-def _load_databases(paths: list[str], reporter: _Reporter
+def _load_databases(paths: Sequence[str], reporter: _Reporter
                     ) -> tuple[list[RawEntry], dict[str, Source]] | None:
     """Parse and merge ``paths`` into entries and each entry key's source."""
     if not paths:
@@ -254,15 +253,6 @@ def _key_list(text: str) -> list[str]:
     return [key.strip() for key in text.split(",") if key.strip()]
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """A run configuration from the options given; the rest keep their defaults."""
-    config = RunConfig(**{name: value for name, value in vars(args).items()
-                          if name != "command"})
-    if config.max_authors < 1:
-        raise ValueError("max authors must be at least 1")
-    return config
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vanref",
@@ -317,13 +307,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command = _COMMANDS[options.pop("command")]
+    config = RunConfig(**options)
     try:
-        config = _config_from_args(args)
+        config.style()
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_IO
-    return _COMMANDS[args.command](config)
+    return command(config)
 
 
 if __name__ == "__main__":

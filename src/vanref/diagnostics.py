@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ERROR = "error"
 WARNING = "warning"
@@ -40,8 +40,7 @@ class LineIndex:
         return line, offset - self._starts[line - 1] + 1
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str
     code: str
     message: str

@@ -8,7 +8,6 @@ and never raises on odd input.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -596,6 +595,13 @@ BIB_FIELDS.update(
 # ``.bib`` fields every entry type accepts though no template prints them.
 UNPRINTED_FIELDS = frozenset({"language", "note", "key"})
 
+# The fields an in-press article's "In press <year>" stands in for.
+_IN_PRESS_HIDES = {EntryType.ARTICLE: (
+    "volume", "number", "issue", "volsuppl", "issuesuppl", "volpart",
+    "issuepart", "pages", "month", "day")}
+_IN_PRESS_HIDES[EntryType.WEBJOURNAL] = (
+    *_IN_PRESS_HIDES[EntryType.ARTICLE], "updated", "lastchecked")
+
 _DAY_RE = re.compile(r"(\d{1,2})(?:-(\d{1,2}))?")
 
 
@@ -637,6 +643,11 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                     f"entry '{raw.key}': bad {field_name} field: {exc}"))
 
     entry_type = map_entry_type(raw, diags)
+    if entry_type is EntryType.PATENT and "author" in f:
+        for people in contributors:
+            if people.role in (Role.INVENTOR, Role.ASSIGNEE):
+                diags.append(_shadowed("author", people.role.value))
+                break
 
     date = None
     if "date" in f:
@@ -710,6 +721,11 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         elif name in f:
             diags.append(_shadowed(name, winner))
 
+    in_press = "inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""}
+    if in_press and entry_type in _IN_PRESS_HIDES:
+        diags.extend(_shadowed(name, "inpress")
+                     for name in _IN_PRESS_HIDES[entry_type] if name in f)
+
     record = BibRecord(
         key=raw.key,
         entry_type=entry_type,
@@ -722,12 +738,12 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         report_number=report_number,
         url=_flatten(f["url"]) if "url" in f else "",
         term_pages=term_pages,
-        in_press="inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""},
+        in_press=in_press,
         continuous_pagination=pagination == "continuous",
         date_separator=datesep,
         **values,
     )
-    return record, [replace(d, offset=raw.span[0]) for d in diags]
+    return record, [d._replace(offset=raw.span[0]) for d in diags]
 
 
 def normalize_database(entries: list[RawEntry]) -> tuple[list[BibRecord], list[Diagnostic]]:

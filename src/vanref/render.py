@@ -8,7 +8,6 @@ which :data:`vanref.model.BIB_FIELDS` turns into the ``.bib`` fields the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .model import (
@@ -22,6 +21,7 @@ from .model import (
     PartialDate,
     PersonName,
     Role,
+    _Checked,
     complete_page,
     initials,
 )
@@ -30,14 +30,20 @@ _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
 
-@dataclass(frozen=True)
-class StyleConfig:
-    max_authors_before_etal: int = 6
-    etal_text: str = "et al."
+class _StyleConfigFields(NamedTuple):
+    max_authors_before_etal: int
+    etal_text: str
 
-    def __post_init__(self):
-        if self.max_authors_before_etal < 1:
-            raise ValueError("max_authors_before_etal must be at least 1")
+
+class StyleConfig(_Checked, _StyleConfigFields):
+    """Authors listed before the et al. text, and that text."""
+
+    __slots__ = ()
+
+    def __new__(cls, max_authors_before_etal: int = 6, etal_text: str = "et al."):
+        if max_authors_before_etal < 1:
+            raise ValueError("max authors must be at least 1")
+        return tuple.__new__(cls, (max_authors_before_etal, etal_text))
 
 
 DEFAULT_STYLE = StyleConfig()

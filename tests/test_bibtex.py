@@ -94,7 +94,7 @@ class _ParserReference:
 
     def __init__(self, text, macros=None):
         self.text = text
-        self.db = Database(macros={**MONTH_MACROS, **(macros or {})})
+        self.db = Database([], {**MONTH_MACROS, **(macros or {})}, [])
         self._seen_keys = set()
 
     def run(self):

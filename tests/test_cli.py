@@ -1,6 +1,9 @@
 """Command-line behavior: modes, exit codes, stream separation, arguments."""
 
 import io
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
 from vanref.diagnostics import Diagnostic
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).parent.parent / "src"
 BIB_PATH = DATA_DIR / "vancouver.bib"
 TEX_PATH = DATA_DIR / "manuscript.tex"
 
@@ -371,6 +375,38 @@ class TestCheck:
         assert (code, out, check_err) == (
             0, "checked 7 entries: 0 errors, 6 warnings\n", err)
 
+    def test_hidden_author_and_in_press_locator_warn(self, tmp_path, capsys):
+        bib = tmp_path / "hidden.bib"
+        bib.write_text(
+            "@patent{p1, author={Roe, A}, inventor={Doe, B}, title={T},\n"
+            "  country={US}, number={1}, year={2001}}\n"
+            "@patent{p2, author={Roe, A}, assignee={{Acme}}, title={T},\n"
+            "  country={US}, number={2}, year={2001}}\n"
+            "@article{a1, author={Smith, J}, title={T}, journal={J}, inpress={yes},\n"
+            "  volume={4}, pages={1-2}, year={2001}}\n"
+            "@article{w1, author={Smith, J}, title={T}, journal={J}, inpress={},\n"
+            "  url={http://x}, number={2}, month={Jul}, year={2001},\n"
+            "  lastchecked={2002 Jan 3}}\n", encoding="utf-8")
+        assert main(["format", "--bib", str(bib), "--all"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ("1. Doe B, inventor. T. US patent 1. 2001.\n"
+                                "2. Acme, assignee. T. US patent 2. 2001.\n"
+                                "3. Smith J. T. J. In press 2001.\n"
+                                "4. Smith J. T. J. In press 2001. "
+                                "Available from: http://x\n")
+        shadowed = "warning: field '{}' ignored: '{}' is used instead " \
+                   "[shadowed-field]\n"
+        assert captured.err == (
+            f"{bib}:1:1: " + shadowed.format("author", "inventor")
+            + f"{bib}:3:1: " + shadowed.format("author", "assignee")
+            + "".join(f"{bib}:5:1: " + shadowed.format(name, "inpress")
+                      for name in ("volume", "pages"))
+            + "".join(f"{bib}:7:1: " + shadowed.format(name, "inpress")
+                      for name in ("number", "month", "lastchecked")))
+        assert main(["check", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == (
+            "checked 4 entries: 0 errors, 7 warnings\n", captured.err)
+
     def test_duplicate_key_warns_only(self, tmp_path):
         dup = tmp_path / "dup.bib"
         dup.write_text(
@@ -521,7 +557,16 @@ class TestMainAndConfig:
         code = main(["format", "--bib", str(BIB_PATH), "--all",
                      "--max-authors", "0"])
         assert code == 2
-        assert "at least 1" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "max authors must be at least 1\n")
+
+    def test_import_loads_no_dataclasses(self):
+        # -S keeps site's .pth imports out of the count
+        env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys, vanref.cli; "
+             "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True)
+        assert result.stdout == "False False\n"
 
 
 @pytest.mark.parametrize("key,expected_fragment", [

@@ -4,7 +4,6 @@ import copy
 import pickle
 import re
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -195,6 +194,11 @@ def normalize_reference(raw):
                     f"entry '{raw.key}': bad {field_name} field: {exc}"))
 
     entry_type = map_entry_type(raw, diags)
+    named = [c.role.value for c in contributors
+             if c.role in (Role.INVENTOR, Role.ASSIGNEE)]
+    if entry_type is EntryType.PATENT and "author" in f and named:
+        diags.append(warning(
+            "shadowed-field", f"field 'author' ignored: '{named[0]}' is used instead"))
 
     date = date_of("date")
     for name in ("year", "month", "day"):
@@ -267,6 +271,16 @@ def normalize_reference(raw):
                 for later in fallbacks[i + 1:] if later in f)
             break
 
+    in_press = "inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""}
+    if in_press and entry_type in (EntryType.ARTICLE, EntryType.WEBJOURNAL):
+        hidden = ["volume", "number", "issue", "volsuppl", "issuesuppl",
+                  "volpart", "issuepart", "pages", "month", "day"]
+        if entry_type is EntryType.WEBJOURNAL:
+            hidden += ["updated", "lastchecked"]
+        diags.extend(warning(
+            "shadowed-field", f"field '{name}' ignored: 'inpress' is used instead")
+            for name in hidden if name in f)
+
     record = BibRecord(
         key=raw.key,
         entry_type=entry_type,
@@ -312,11 +326,11 @@ def normalize_reference(raw):
         section=plain("section"),
         column=plain("column"),
         affiliation=plain("affiliation"),
-        in_press="inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""},
+        in_press=in_press,
         continuous_pagination=pagination == "continuous",
         date_separator=datesep,
     )
-    return record, [replace(d, offset=raw.span[0]) for d in diags]
+    return record, [d._replace(offset=raw.span[0]) for d in diags]
 
 
 # Every field the reference reads, plus two it ignores.
@@ -754,6 +768,11 @@ class TestNormalize:
     @example(RawEntry("phdthesis", "k", {
         "publisher": "P", "school": "\\s", "institution": "\\i",
         "number": "1", "issue": "\\n"}))
+    @example(RawEntry("patent", "k", {
+        "author": "Roe, A", "inventor": "and", "assignee": "{Acme}"}))
+    @example(RawEntry("article", "k", {
+        "inpress": "", "url": "u", "number": "1", "issue": "2", "day": "3",
+        "lastchecked": "2002", "volume": "4"}))
     def test_field_table_matches_reference(self, entry):
         record, diags = normalize(entry)
         expected, expected_diags = normalize_reference(entry)

@@ -1,6 +1,5 @@
 """Reference rendering: names, pages, dates, locators, full templates."""
 
-import dataclasses
 import re
 
 import pytest
@@ -415,14 +414,17 @@ class TestFormatPages:
 
 class TestStyleConfig:
     def test_rejects_zero_authors(self):
-        with pytest.raises(ValueError):
-            StyleConfig(max_authors_before_etal=0)
+        for build in (lambda: StyleConfig(max_authors_before_etal=0),
+                      lambda: StyleConfig._make((0, "x")),
+                      lambda: DEFAULT_STYLE._replace(max_authors_before_etal=0)):
+            with pytest.raises(ValueError, match="max authors must be at least 1"):
+                build()
 
     def test_default_is_six(self):
         assert DEFAULT_STYLE.max_authors_before_etal == 6
 
     def test_immutable(self):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             DEFAULT_STYLE.etal_text = "u.a."
 
 
