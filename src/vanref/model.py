@@ -725,6 +725,10 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     if in_press and entry_type in _IN_PRESS_HIDES:
         diags.extend(_shadowed(name, "inpress")
                      for name in _IN_PRESS_HIDES[entry_type] if name in f)
+        if "date" in f and date.month:
+            diags.append(warning(
+                "shadowed-field",
+                "month and day of field 'date' ignored: 'inpress' is used instead"))
 
     record = BibRecord(
         key=raw.key,

@@ -1,9 +1,12 @@
 """Vancouver-style reference rendering.
 
-:data:`TEMPLATES` has one row per entry type: its template function, the
-record attributes it requires and the attributes and roles it can print,
-which :data:`vanref.model.BIB_FIELDS` turns into the ``.bib`` fields the
-``unknown-field`` lint accepts.  All functions are pure: strings in, strings out.
+Books, proceedings, media, web monographs and misc share one template in
+Citing Medicine's book order, each segment empty when its attributes are;
+the other types have their own.  :data:`TEMPLATES` has one row per entry
+type: its template function, the record attributes it requires and the
+attributes and roles it can print, which :data:`vanref.model.BIB_FIELDS`
+turns into the ``.bib`` fields the ``unknown-field`` lint accepts.  All
+functions are pure: strings in, strings out.
 """
 
 from __future__ import annotations
@@ -317,39 +320,45 @@ def _render_webjournal(rec: BibRecord, style: StyleConfig) -> str:
     return _join([body, "Available from:", rec.url])
 
 
-def _secondary_editor_block(rec: BibRecord, style: StyleConfig) -> str:
-    """Editor/compiler credit after the edition, for authored monographs."""
+def _book_contributors(rec: BibRecord, style: StyleConfig) -> tuple[str, str]:
+    """The primary and the editor credit; editors lead when there is no primary."""
+    primary = rec.lists(Role.AUTHOR, Role.ORGANIZATION, Role.CARTOGRAPHER)
     editors = rec.lists(Role.EDITOR, Role.COMPILER)
-    if not editors or not rec.lists(Role.AUTHOR, Role.ORGANIZATION):
-        return ""
-    return format_contributors(editors, style)
+    if not primary:
+        primary, editors = editors, ()
+    return (format_contributors(primary, style) if primary else "",
+            format_contributors(editors, style) if editors else "")
 
 
-def _book_contributors(rec: BibRecord, style: StyleConfig) -> str:
-    primary = _primary_contributors(rec, style)
-    if primary:
-        return primary
-    editors = rec.lists(Role.EDITOR, Role.COMPILER)
-    if editors:
-        return format_contributors(editors, style)
-    return ""
+_DEFAULT_BRACKETS = {
+    EntryType.DISSERTATION: "dissertation",
+    EntryType.MAP: "map",
+    EntryType.CDROM: "CD-ROM",
+}
 
 
-def _render_book(rec: BibRecord, style: StyleConfig) -> str:
+def _render_monograph(rec: BibRecord, style: StyleConfig) -> str:
+    primary, editors = _book_contributors(rec, style)
+    bracket = rec.medium or _DEFAULT_BRACKETS.get(rec.entry_type, "")
     return _join([
-        _book_contributors(rec, style),
-        _sentence(rec.title),
+        primary,
+        _bracketed_title(rec, bracket),
         _sentence(rec.edition),
-        _secondary_editor_block(rec, style),
-        _imprint(rec),
+        editors,
+        _conference_line(rec),
+        _imprint(rec, date_block=_web_date_block(rec)),
+        _part_extent(rec),
+        f"Available from: {rec.url}" if rec.url else "",
     ])
 
 
 def _render_dictionary(rec: BibRecord, style: StyleConfig) -> str:
+    primary, editors = _book_contributors(rec, style)
     segments = [
-        _book_contributors(rec, style),
+        primary,
         _sentence(rec.title),
         _sentence(rec.edition),
+        editors,
         _imprint(rec),
     ]
     if rec.defined_term:
@@ -374,7 +383,7 @@ def _render_chapter(rec: BibRecord, style: StyleConfig) -> str:
     in_block = "In: " + _join([
         format_contributors(editors, style) if editors else "",
         _sentence(rec.booktitle),
-        _conference_line(rec) if rec.conference_name else "",
+        _conference_line(rec),
     ])
     segments = [
         _primary_contributors(rec, style),
@@ -385,15 +394,6 @@ def _render_chapter(rec: BibRecord, style: StyleConfig) -> str:
     if rec.pages is not None:
         segments.append(_sentence(f"p. {format_pages(rec.pages)}"))
     return _join(segments)
-
-
-def _render_proceedings(rec: BibRecord, style: StyleConfig) -> str:
-    return _join([
-        _book_contributors(rec, style),
-        _sentence(rec.title),
-        _conference_line(rec) if rec.conference_name else "",
-        _imprint(rec),
-    ])
 
 
 def _render_techreport(rec: BibRecord, style: StyleConfig) -> str:
@@ -410,25 +410,6 @@ def _render_techreport(rec: BibRecord, style: StyleConfig) -> str:
     if rec.sponsor:
         segments.append(_sentence(f"Sponsored by {rec.sponsor}"))
     return _join(segments)
-
-
-_DEFAULT_BRACKETS = {
-    EntryType.DISSERTATION: "dissertation",
-    EntryType.MAP: "map",
-    EntryType.CDROM: "CD-ROM",
-}
-
-
-def _render_media_monograph(rec: BibRecord, style: StyleConfig) -> str:
-    """Dissertations, audiovisual media, CD-ROMs and maps: title [medium]."""
-    bracket = rec.medium or _DEFAULT_BRACKETS.get(rec.entry_type, "")
-    contributors = rec.lists(Role.AUTHOR, Role.ORGANIZATION, Role.CARTOGRAPHER,
-                             Role.EDITOR, Role.COMPILER)
-    return _join([
-        format_contributors(contributors, style) if contributors else "",
-        _bracketed_title(rec, bracket),
-        _imprint(rec),
-    ])
 
 
 def _render_patent(rec: BibRecord, style: StyleConfig) -> str:
@@ -458,31 +439,6 @@ def _render_newspaper(rec: BibRecord, style: StyleConfig) -> str:
     ])
 
 
-def _render_web_monograph(rec: BibRecord, style: StyleConfig) -> str:
-    bracket = f"{rec.medium}" if rec.medium else ""
-    return _join([
-        _book_contributors(rec, style),
-        _bracketed_title(rec, bracket),
-        _sentence(rec.edition),
-        _imprint(rec, date_block=_web_date_block(rec)),
-        _part_extent(rec),
-        "Available from:",
-        rec.url,
-    ])
-
-
-def _render_generic(rec: BibRecord, style: StyleConfig) -> str:
-    """Fallback for unknown entry types: contributors, title, imprint."""
-    segments = [
-        _book_contributors(rec, style),
-        _sentence(rec.title),
-        _imprint(rec),
-    ]
-    if rec.url:
-        segments += ["Available from:", rec.url]
-    return _join(segments)
-
-
 class Template(NamedTuple):
     """How one entry type renders and what it takes."""
 
@@ -507,12 +463,11 @@ _ARTICLE = (*_PEOPLE, "article_type", "journal", "in_press", "date", "volume",
             "issue", "volume_supplement", "issue_supplement", "volume_part",
             "issue_part", "continuous_pagination", "pages", "date_epub", "pmid",
             "retraction_of", "retraction_in", "erratum_in", "republished_from")
-_MEDIA = _template(_render_media_monograph, ("title",), *_BOOK_PEOPLE,
-                   Role.CARTOGRAPHER, "medium", *_IMPRINT)
 _WEB = ("url", "medium", "updated", "cited")
-_WEB_MONOGRAPH = _template(
-    _render_web_monograph, ("title", "url"), *_BOOK_PEOPLE, "edition",
-    *_IMPRINT, *_WEB, "part_title", "extent_text")
+_MONOGRAPH = (*_BOOK_PEOPLE, Role.CARTOGRAPHER, "edition", *_CONFERENCE,
+              *_IMPRINT, *_WEB, "part_title", "extent_text")
+_BOOK = _template(_render_monograph, ("title",), *_MONOGRAPH)
+_WEB_MONOGRAPH = _template(_render_monograph, ("title", "url"), *_MONOGRAPH)
 _CHAPTER = _template(_render_chapter, ("title", "booktitle"), *_BOOK_PEOPLE,
                      "booktitle", *_CONFERENCE, *_IMPRINT, "pages")
 
@@ -520,22 +475,20 @@ TEMPLATES: dict[EntryType, Template] = {
     EntryType.ARTICLE: _template(_render_article, ("title", "journal"), *_ARTICLE),
     EntryType.WEBJOURNAL: _template(
         _render_webjournal, ("url", "title"), *_ARTICLE, *_WEB),
-    EntryType.BOOK: _template(
-        _render_book, ("title",), *_BOOK_PEOPLE, "edition", *_IMPRINT),
+    EntryType.BOOK: _BOOK,
     EntryType.DICTIONARY: _template(
-        _render_dictionary, ("title",), *_BOOK_PEOPLE, "edition", *_IMPRINT,
-        "defined_term", "term_pages"),
+        _render_dictionary, ("title",), *_BOOK_PEOPLE, Role.CARTOGRAPHER,
+        "edition", *_IMPRINT, "defined_term", "term_pages"),
     EntryType.CHAPTER: _CHAPTER,
     EntryType.INPROCEEDINGS: _CHAPTER,
-    EntryType.PROCEEDINGS: _template(
-        _render_proceedings, ("title",), *_BOOK_PEOPLE, *_CONFERENCE, *_IMPRINT),
+    EntryType.PROCEEDINGS: _BOOK,
     EntryType.TECHREPORT: _template(
         _render_techreport, ("title",), *_PEOPLE, "affiliation", "report_type",
         *_IMPRINT, "report_number", "contract_number", "sponsor"),
-    EntryType.DISSERTATION: _MEDIA,
-    EntryType.AUDIOVISUAL: _MEDIA,
-    EntryType.CDROM: _MEDIA,
-    EntryType.MAP: _MEDIA,
+    EntryType.DISSERTATION: _BOOK,
+    EntryType.AUDIOVISUAL: _BOOK,
+    EntryType.CDROM: _BOOK,
+    EntryType.MAP: _BOOK,
     EntryType.PATENT: _template(
         _render_patent, ("title", "report_number"), Role.INVENTOR,
         Role.ASSIGNEE, Role.AUTHOR, "title", "country", "report_number", "date"),
@@ -545,7 +498,7 @@ TEMPLATES: dict[EntryType, Template] = {
     EntryType.WEBMONOGRAPH: _WEB_MONOGRAPH,
     EntryType.WEBPAGE: _WEB_MONOGRAPH,
     EntryType.WEBDATABASE: _WEB_MONOGRAPH,
-    EntryType.MISC: _template(_render_generic, (), *_BOOK_PEOPLE, *_IMPRINT, "url"),
+    EntryType.MISC: _template(_render_monograph, (), *_MONOGRAPH),
 }
 
 

@@ -14,6 +14,8 @@ from vanref import RawEntry, StyleConfig, render_reference, resolve
 from vanref.bibtex import serialize_entry
 from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
 from vanref.diagnostics import Diagnostic
+from vanref.model import UNPRINTED_FIELDS, Role, map_entry_type
+from vanref.render import TEMPLATES
 
 DATA_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -493,6 +495,74 @@ class TestCheck:
         check_code, _, check_err = run_check(bib_paths=paths, strict=strict)
         assert format_err == check_err
         assert format_code == check_code
+
+
+class TestMonographs:
+    def test_every_credit_and_conference_part_prints(self, tmp_path, capsys):
+        bib = tmp_path / "monographs.bib"
+        bib.write_text(
+            "@phdthesis{d1, author={Smith, J}, editor={Doe, A}, title={T},\n"
+            "  school={U}, year={2001}}\n"
+            "@proceedings{p1, author={Smith, J}, editor={Doe, A}, title={T},\n"
+            "  publisher={P}, year={2001}}\n"
+            "@misc{m1, author={Smith, J}, editor={Doe, A}, title={T}, year={2001}}\n"
+            "@proceedings{p2, title={T}, conferenceplace={Oslo},\n"
+            "  conferencedate={2000 Jun 5-7}, publisher={P}, year={2001}}\n"
+            "@incollection{c1, author={Smith, J}, title={T}, booktitle={B},\n"
+            "  conferenceplace={Oslo}, year={2001}}\n"
+            "@book{b1, author={Smith, J}, cartographer={Doe, A}, title={T},\n"
+            "  publisher={P}, year={2001}}\n", encoding="utf-8")
+        assert main(["format", "--bib", str(bib), "--all"]) == 0
+        captured = capsys.readouterr()
+        assert captured == (
+            "1. Smith J. T [dissertation]. Doe A, editor. U; 2001.\n"
+            "2. Smith J. T. Doe A, editor. P; 2001.\n"
+            "3. Smith J. T. Doe A, editor. 2001.\n"
+            "4. T. 2000 Jun 5-7; Oslo. P; 2001.\n"
+            "5. Smith J. T. In: B. Oslo. 2001.\n"
+            "6. Smith J; Doe A, cartographer. T. P; 2001.\n", "")
+        assert main(["check", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == (
+            "checked 6 entries: 0 errors, 0 warnings\n", captured.err)
+
+    # A minimal valid entry of each probed type: a .bib type and the fields
+    # it needs beside author, title, publisher and year.
+    PROBED = [
+        ("book", {}), ("proceedings", {}), ("misc", {}), ("phdthesis", {}),
+        ("audiovisual", {}), ("electronic", {}), ("map", {}),
+        ("webpage", {"url": "http://x"}), ("book", {"url": "http://x"}),
+        ("database", {"url": "http://x"}), ("dictionary", {}),
+        ("incollection", {"booktitle": "B"}),
+    ]
+    VALUES = {**dict.fromkeys([role.value for role in Role], "Doe, A"),
+              **dict.fromkeys(["date", "epub", "updated", "lastchecked",
+                               "conferencedate"], "2002 Jul 3"),
+              "month": "Jul", "day": "3", "pages": "1-2", "datesep": "."}
+
+    @pytest.mark.parametrize("entry_type, needs", PROBED,
+                             ids=[t + "+url" * ("url" in n) for t, n in PROBED])
+    def test_each_accepted_field_is_printed_or_reported(
+            self, tmp_path, entry_type, needs):
+        base = {"author": "Smith, J", "title": "T", "publisher": "P",
+                "year": "2001", **needs}
+        bib = tmp_path / "probe.bib"
+
+        def run(fields):
+            bib.write_text(serialize_entry(RawEntry(entry_type, "k", fields)),
+                           encoding="utf-8")
+            _, out, err = run_format(bib_paths=[str(bib)])
+            return out, err
+
+        base_out, base_err = run(base)
+        assert base_out and base_err == ""
+        accepted = TEMPLATES[map_entry_type(RawEntry(entry_type, "k", base))].fields
+        # still open: unprinted common fields, and a dictionary's pages without a term
+        probed = accepted - UNPRINTED_FIELDS - base.keys()
+        if entry_type == "dictionary":
+            probed -= {"pages"}
+        silent = [name for name in sorted(probed)
+                  if run({**base, name: self.VALUES.get(name, "Xy")}) == (base_out, "")]
+        assert silent == []
 
 
 class TestScan:

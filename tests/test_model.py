@@ -280,6 +280,10 @@ def normalize_reference(raw):
         diags.extend(warning(
             "shadowed-field", f"field '{name}' ignored: 'inpress' is used instead")
             for name in hidden if name in f)
+        if "date" in f and date.month is not None:
+            diags.append(warning(
+                "shadowed-field",
+                "month and day of field 'date' ignored: 'inpress' is used instead"))
 
     record = BibRecord(
         key=raw.key,
@@ -711,6 +715,23 @@ class TestNormalize:
             ("shadowed-field", "field 'year' ignored: 'date' is used instead"),
             ("shadowed-field", "field 'month' ignored: 'date' is used instead")]
 
+    def test_in_press_shadows_the_month_and_day_of_date(self):
+        shadowed = ("shadowed-field", "month and day of field 'date' "
+                    "ignored: 'inpress' is used instead")
+        for extra in ({}, {"url": "http://x"}):
+            record, diags = normalize(raw("article", title="t", journal="j",
+                                          inpress="yes", date="2001 Jul 3",
+                                          **extra))
+            assert record.date == PartialDate(2001, 7, 3)
+            assert [(d.code, d.message) for d in diags] == [shadowed]
+        for fields in ({"date": "2001"}, {"year": "2001"}):
+            _, diags = normalize(raw("article", title="t", journal="j",
+                                     inpress="yes", **fields))
+            assert diags == []
+        _, diags = normalize(raw("book", title="t", inpress="yes",
+                                 date="2001 Jul 3"))
+        assert diags == []
+
     def test_number_shadows_issue_except_in_reports(self):
         record, diags = normalize(raw("article", title="t", journal="j",
                                       year="2001", number="2", issue="3"))
@@ -773,6 +794,7 @@ class TestNormalize:
     @example(RawEntry("article", "k", {
         "inpress": "", "url": "u", "number": "1", "issue": "2", "day": "3",
         "lastchecked": "2002", "volume": "4"}))
+    @example(RawEntry("article", "k", {"inpress": "yes", "date": "2001 Jul"}))
     def test_field_table_matches_reference(self, entry):
         record, diags = normalize(entry)
         expected, expected_diags = normalize_reference(entry)
