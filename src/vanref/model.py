@@ -203,7 +203,6 @@ class BibRecord(NamedTuple):
     conference_date: PartialDate | None = None
     conference_place: str = ""
     defined_term: str = ""
-    term_pages: str = ""
     country: str = ""
     section: str = ""
     column: str = ""
@@ -589,18 +588,23 @@ BIB_FIELDS.update(
     issue=("number", "issue"), report_number=("number",),
     publisher=("publisher", "school", "institution"),
     date=("date", "year", "month", "day"), pages=("pages",),
-    term_pages=("pages",), url=("url",), in_press=("inpress",),
+    url=("url",), in_press=("inpress",),
     continuous_pagination=("pagination",), date_separator=("datesep",))
 
 # ``.bib`` fields every entry type accepts though no template prints them.
 UNPRINTED_FIELDS = frozenset({"language", "note", "key"})
 
-# The fields an in-press article's "In press <year>" stands in for.
-_IN_PRESS_HIDES = {EntryType.ARTICLE: (
-    "volume", "number", "issue", "volsuppl", "issuesuppl", "volpart",
-    "issuepart", "pages", "month", "day")}
-_IN_PRESS_HIDES[EntryType.WEBJOURNAL] = (
-    *_IN_PRESS_HIDES[EntryType.ARTICLE], "updated", "lastchecked")
+# The entry types rendered as journal articles, and the fields an in-press
+# one's "In press <year>" stands in for.
+_ARTICLE_TYPES = (EntryType.ARTICLE, EntryType.WEBJOURNAL, EntryType.NEWSPAPER)
+_IN_PRESS_HIDES = ("volume", "number", "issue", "volsuppl", "issuesuppl",
+                   "volpart", "issuepart", "pages", "section", "column",
+                   "month", "day", "updated", "lastchecked")
+
+# Supplements and parts in the order the journal locator prefers them, with
+# what each qualifies.
+_QUALIFIERS = {"volsuppl": "volume", "volpart": "volume",
+               "issuesuppl": "issue", "issuepart": "issue"}
 
 _DAY_RE = re.compile(r"(\d{1,2})(?:-(\d{1,2}))?")
 
@@ -608,6 +612,36 @@ _DAY_RE = re.compile(r"(\d{1,2})(?:-(\d{1,2}))?")
 def _shadowed(name: str, winner: str) -> Diagnostic:
     return warning("shadowed-field",
                    f"field '{name}' ignored: '{winner}' is used instead")
+
+
+def _unprinted_qualifiers(values: dict[str, object], issue: str, issue_field: str,
+                          continuous: bool) -> list[Diagnostic]:
+    """Warn for each supplement or part the journal locator leaves out.
+
+    The locator prints one: the first whose volume or issue is set.  A
+    volume's supplement or part also stands in for the issue.  Continuous
+    pagination drops the issue with its supplement and part, as asked.
+    """
+    get = values.get
+    if get("volume_supplement") and get("issue_supplement"):
+        return []  # rendering fails with ConflictingLocator
+    hosts = {"volume": get("volume"), "issue": issue}
+    diags = []
+    winner = ""
+    for name, host in _QUALIFIERS.items():
+        if not get(_PLAIN_FIELDS[name]) or continuous and host == "issue":
+            continue
+        if not hosts[host]:
+            diags.append(warning(
+                "shadowed-field", f"field '{name}' ignored: it needs "
+                f"'{issue_field if host == 'issue' else host}'"))
+        elif winner:
+            diags.append(_shadowed(name, winner))
+        else:
+            winner = name
+    if winner in ("volsuppl", "volpart") and issue and not continuous:
+        diags.append(_shadowed(issue_field, winner))
+    return diags
 
 
 def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
@@ -683,12 +717,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))
 
     pages_value = plain("pages")
-    pages = None
-    term_pages = ""
-    if entry_type is EntryType.DICTIONARY:
-        term_pages = pages_value
-    elif pages_value:
-        pages = parse_pages(pages_value)
+    pages = parse_pages(pages_value) if pages_value else None
 
     pagination = f.get("pagination", "").strip().lower()
     if pagination and pagination != "continuous":
@@ -721,14 +750,24 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         elif name in f:
             diags.append(_shadowed(name, winner))
 
-    in_press = "inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""}
-    if in_press and entry_type in _IN_PRESS_HIDES:
-        diags.extend(_shadowed(name, "inpress")
-                     for name in _IN_PRESS_HIDES[entry_type] if name in f)
-        if "date" in f and date.month:
-            diags.append(warning(
-                "shadowed-field",
-                "month and day of field 'date' ignored: 'inpress' is used instead"))
+    in_press = False
+    if "inpress" in f:
+        flag = f["inpress"].strip().lower()
+        in_press = not flag or flag in TRUE_WORDS
+        if not in_press and flag not in ("no", "false", "0", "off"):
+            diags.append(warning("unknown-value", f"inpress value '{flag}' ignored"))
+    if entry_type in _ARTICLE_TYPES:
+        if in_press:
+            diags.extend(_shadowed(name, "inpress")
+                         for name in _IN_PRESS_HIDES if name in f)
+            if "date" in f and date.month:
+                diags.append(warning(
+                    "shadowed-field",
+                    "month and day of field 'date' ignored: 'inpress' is used instead"))
+        elif not f.keys().isdisjoint(_QUALIFIERS):
+            diags.extend(_unprinted_qualifiers(
+                values, issue, "number" if number_value or "issue" not in f else "issue",
+                pagination == "continuous"))
 
     record = BibRecord(
         key=raw.key,
@@ -741,7 +780,6 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         publisher=publisher,
         report_number=report_number,
         url=_flatten(f["url"]) if "url" in f else "",
-        term_pages=term_pages,
         in_press=in_press,
         continuous_pagination=pagination == "continuous",
         date_separator=datesep,

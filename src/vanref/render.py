@@ -1,12 +1,15 @@
 """Vancouver-style reference rendering.
 
-Books, proceedings, media, web monographs and misc share one template in
-Citing Medicine's book order, each segment empty when its attributes are;
-the other types have their own.  :data:`TEMPLATES` has one row per entry
-type: its template function, the record attributes it requires and the
-attributes and roles it can print, which :data:`vanref.model.BIB_FIELDS`
-turns into the ``.bib`` fields the ``unknown-field`` lint accepts.  All
-functions are pure: strings in, strings out.
+Five templates in Citing Medicine's orders render the 18 entry types, each
+segment empty when its attributes are: journal, online and newspaper
+articles share the article template; books, proceedings, dictionaries,
+media, web monographs and misc the monograph template; a chapter is its
+contribution, ``In:`` and its book through the monograph template; reports
+and patents have their own.  :data:`TEMPLATES` has one row per entry type:
+its template function, the record attributes it requires and the attributes
+and roles it can print, which :data:`vanref.model.BIB_FIELDS` turns into the
+``.bib`` fields the ``unknown-field`` lint accepts.  All functions are pure:
+strings in, strings out.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ def _sentence(text: str) -> str:
 
 
 def _join(segments: list[str]) -> str:
-    return " ".join(s for s in segments if s)
+    return " ".join(filter(None, segments))
 
 
 def compress_page_range(first: str, last: str) -> str:
@@ -184,59 +187,55 @@ def format_contributors(lists: tuple[ContributorList, ...] | list[ContributorLis
 # shared record pieces
 
 def _primary_contributors(rec: BibRecord, style: StyleConfig,
-                          roles: tuple[Role, ...] = (Role.AUTHOR, Role.ORGANIZATION),
                           affiliation: str = "") -> str:
-    lists = rec.lists(*roles)
+    lists = rec.lists(Role.AUTHOR, Role.ORGANIZATION)
     if not lists:
         return ""
     return format_contributors(lists, style, affiliation=affiliation)
 
 
-def _bracketed_title(rec: BibRecord, bracket: str = "") -> str:
+def _bracketed_title(rec: BibRecord, bracket: str) -> str:
     title = rec.title
     if bracket:
         title += f" [{bracket}]"
     return _sentence(title)
 
 
+def _clause(*parts: str) -> str:
+    """The non-empty parts joined with ``; `` as one sentence."""
+    return _sentence("; ".join(filter(None, parts)))
+
+
 def format_journal_locator(rec: BibRecord) -> str:
-    """Volume/issue/supplement/part locator, e.g. ``42 Suppl 2`` or ``(401)``."""
+    """Volume/issue/supplement/part/section locator, e.g. ``42 Suppl 2``,
+    ``58(12 Suppl 7)``, ``(401)`` or ``Sect. A``; one supplement or part prints.
+    """
     if rec.volume_supplement and rec.issue_supplement:
         raise ConflictingLocator()
-    if rec.volume:
-        if rec.volume_supplement:
-            return f"{rec.volume} Suppl {rec.volume_supplement}"
-        if rec.volume_part:
-            return f"{rec.volume}(Pt {rec.volume_part})"
-        if rec.issue:
-            inner = rec.issue
-            if rec.issue_supplement:
-                inner += f" Suppl {rec.issue_supplement}"
-            elif rec.issue_part:
-                inner += f" Pt {rec.issue_part}"
-            return f"{rec.volume}({inner})"
-        return rec.volume
-    if rec.issue:
-        return f"({rec.issue})"
-    return ""
+    inner = rec.issue
+    if inner and rec.issue_supplement:
+        inner += f" Suppl {rec.issue_supplement}"
+    elif inner and rec.issue_part:
+        inner += f" Pt {rec.issue_part}"
+    if not rec.volume:
+        locator = f"({inner})" if inner else ""
+    elif rec.volume_supplement:
+        locator = f"{rec.volume} Suppl {rec.volume_supplement}"
+    elif rec.volume_part:
+        locator = f"{rec.volume}(Pt {rec.volume_part})"
+    else:
+        locator = f"{rec.volume}({inner})" if inner else rec.volume
+    if rec.section:
+        section = f"Sect. {rec.section}"
+        locator = f"{locator} {section}" if locator else section
+    return locator
 
 
-def _date_locator_pages(date_str: str, locator: str, pages: str) -> str:
-    out = date_str
-    if locator:
-        out += f";{locator}" if out else locator
-    if pages:
-        out += f":{pages}" if out else pages
-    return _sentence(out)
-
-
-def _imprint(rec: BibRecord, date_block: str = "") -> str:
+def _imprint(rec: BibRecord, date_block: str) -> str:
     """``Place: Publisher; date.`` with the record's publisher/date separator."""
     out = rec.place
     if rec.publisher:
         out = f"{out}: {rec.publisher}" if out else rec.publisher
-    if not date_block and rec.date is not None:
-        date_block = format_date(rec.date)
     if date_block:
         if not out:
             out = date_block
@@ -247,28 +246,27 @@ def _imprint(rec: BibRecord, date_block: str = "") -> str:
     return _sentence(out)
 
 
-def _web_date_block(rec: BibRecord) -> str:
-    """Date plus the ``[updated ...; cited ...]`` bracket, either part optional."""
+def _date_text(date: PartialDate | None) -> str:
+    return format_date(date) if date is not None else ""
+
+
+def _web_date_block(rec: BibRecord, date_str: str) -> str:
+    """``date_str`` plus the ``[updated ...; cited ...]`` bracket, either optional."""
     parts = []
     if rec.updated is not None:
         parts.append("updated " + format_date(rec.updated))
     if rec.cited is not None:
         parts.append("cited " + format_date(rec.cited))
-    bracket = f"[{'; '.join(parts)}]" if parts else ""
-    date_str = format_date(rec.date) if rec.date is not None else ""
-    return _join([date_str, bracket])
+    if not parts:
+        return date_str
+    bracket = f"[{'; '.join(parts)}]"
+    return f"{date_str} {bracket}" if date_str else bracket
 
 
 def _year_text(rec: BibRecord) -> str:
     if rec.date is None:
         return ""
     return format_date(rec.date._replace(month=None, day=None, day_end=None))
-
-
-def _part_extent(rec: BibRecord) -> str:
-    if rec.part_title and rec.extent_text:
-        return _sentence(f"{rec.part_title}; {rec.extent_text}")
-    return _sentence(rec.part_title or rec.extent_text)
 
 
 def _note_segments(rec: BibRecord) -> list[str]:
@@ -286,38 +284,44 @@ def _note_segments(rec: BibRecord) -> list[str]:
 # entry-type templates
 
 def _render_article(rec: BibRecord, style: StyleConfig) -> str:
+    # A medium alone stands in for the journal title: "T. [Internet]."
+    journal = rec.journal
+    if rec.medium:
+        journal = f"{journal} [{rec.medium}]" if journal else f"[{rec.medium}]"
+    if not journal:
+        raise MissingRequiredField(rec.entry_type, "journal")
     segments = [
         _primary_contributors(rec, style),
         _bracketed_title(rec, rec.article_type),
-        _sentence(rec.journal),
+        _sentence(journal),
     ]
     if rec.in_press:
         segments.append(_sentence(_join(["In press", _year_text(rec)])))
     else:
-        effective = rec
         if rec.continuous_pagination:
-            effective = rec._replace(issue="", issue_supplement="", issue_part="")
-        date_str = (_year_text(rec) if rec.continuous_pagination
-                    else format_date(rec.date) if rec.date is not None else "")
-        if rec.entry_type is EntryType.WEBJOURNAL:
-            date_str = _web_date_block(rec)
-        locator = format_journal_locator(effective)
-        pages = format_pages(rec.pages) if rec.pages else ""
-        if date_str or locator or pages:
-            segments.append(_date_locator_pages(date_str, locator, pages))
+            out = _year_text(rec)
+            locator = format_journal_locator(
+                rec._replace(issue="", issue_supplement="", issue_part=""))
+        else:
+            out = _date_text(rec.date)
+            locator = format_journal_locator(rec)
+        if rec.updated is not None or rec.cited is not None:
+            out = _web_date_block(rec, out)
+        if locator:
+            out += f";{locator}" if out else locator
+        if rec.pages:
+            pages = format_pages(rec.pages)
+            out += f":{pages}" if out else pages
+        if rec.column:
+            column = f"(col. {rec.column})"
+            out += f" {column}" if out else column
+        segments.append(_sentence(out))
     if rec.date_epub is not None:
         segments.append(_sentence("Epub " + format_date(rec.date_epub)))
     segments.extend(_note_segments(rec))
+    if rec.url:
+        segments.append(f"Available from: {rec.url}")
     return _join(segments)
-
-
-def _render_webjournal(rec: BibRecord, style: StyleConfig) -> str:
-    # A medium alone stands in for the journal title: "T. [Internet]."
-    journal = _join([rec.journal, f"[{rec.medium}]" if rec.medium else ""])
-    if not journal:
-        raise MissingRequiredField(rec.entry_type, "journal")
-    body = _render_article(rec._replace(journal=journal), style)
-    return _join([body, "Available from:", rec.url])
 
 
 def _book_contributors(rec: BibRecord, style: StyleConfig) -> tuple[str, str]:
@@ -345,55 +349,21 @@ def _render_monograph(rec: BibRecord, style: StyleConfig) -> str:
         _bracketed_title(rec, bracket),
         _sentence(rec.edition),
         editors,
-        _conference_line(rec),
-        _imprint(rec, date_block=_web_date_block(rec)),
-        _part_extent(rec),
+        _clause(rec.conference_name, _date_text(rec.conference_date),
+                rec.conference_place),
+        _imprint(rec, _web_date_block(rec, _date_text(rec.date))),
+        _clause(rec.part_title, rec.extent_text),
+        _clause(rec.defined_term, f"p. {format_pages(rec.pages)}" if rec.pages else ""),
         f"Available from: {rec.url}" if rec.url else "",
     ])
 
 
-def _render_dictionary(rec: BibRecord, style: StyleConfig) -> str:
-    primary, editors = _book_contributors(rec, style)
-    segments = [
-        primary,
-        _sentence(rec.title),
-        _sentence(rec.edition),
-        editors,
-        _imprint(rec),
-    ]
-    if rec.defined_term:
-        term = rec.defined_term
-        if rec.term_pages:
-            term += f"; p. {rec.term_pages}"
-        segments.append(_sentence(term))
-    return _join(segments)
-
-
-def _conference_line(rec: BibRecord) -> str:
-    parts = [rec.conference_name]
-    if rec.conference_date is not None:
-        parts.append(format_date(rec.conference_date))
-    if rec.conference_place:
-        parts.append(rec.conference_place)
-    return _sentence("; ".join(p for p in parts if p))
-
-
 def _render_chapter(rec: BibRecord, style: StyleConfig) -> str:
-    editors = rec.lists(Role.EDITOR, Role.COMPILER)
-    in_block = "In: " + _join([
-        format_contributors(editors, style) if editors else "",
-        _sentence(rec.booktitle),
-        _conference_line(rec),
-    ])
-    segments = [
-        _primary_contributors(rec, style),
-        _sentence(rec.title),
-        in_block,
-        _imprint(rec),
-    ]
-    if rec.pages is not None:
-        segments.append(_sentence(f"p. {format_pages(rec.pages)}"))
-    return _join(segments)
+    """The contribution, then ``In:`` and its book, led by the book's editors."""
+    host = rec._replace(title=rec.booktitle, contributors=rec.lists(
+        Role.EDITOR, Role.COMPILER, Role.CARTOGRAPHER))
+    return _join([_primary_contributors(rec, style), _sentence(rec.title), "In:",
+                  _render_monograph(host, style)])
 
 
 def _render_techreport(rec: BibRecord, style: StyleConfig) -> str:
@@ -401,7 +371,7 @@ def _render_techreport(rec: BibRecord, style: StyleConfig) -> str:
         _primary_contributors(rec, style, affiliation=rec.affiliation),
         _sentence(rec.title),
         _sentence(rec.report_type),
-        _imprint(rec),
+        _imprint(rec, _date_text(rec.date)),
     ]
     if rec.report_number:
         segments.append(_sentence(f"Report No.: {rec.report_number}"))
@@ -419,23 +389,7 @@ def _render_patent(rec: BibRecord, style: StyleConfig) -> str:
         format_contributors(people, style) if people else "",
         _sentence(rec.title),
         _sentence(number_line),
-        _sentence(format_date(rec.date)) if rec.date is not None else "",
-    ])
-
-
-def _render_newspaper(rec: BibRecord, style: StyleConfig) -> str:
-    locator = format_date(rec.date) if rec.date is not None else ""
-    if rec.section:
-        locator += f";Sect. {rec.section}"
-    if rec.pages is not None:
-        locator += f":{format_pages(rec.pages)}"
-    if rec.column:
-        locator += f" (col. {rec.column})"
-    return _join([
-        _primary_contributors(rec, style),
-        _sentence(rec.title),
-        _sentence(rec.journal),
-        _sentence(locator),
+        _sentence(_date_text(rec.date)),
     ])
 
 
@@ -456,29 +410,29 @@ def _template(render: Callable[[BibRecord, StyleConfig], str],
 
 # What the templates read, in pieces they share.
 _PEOPLE = (Role.AUTHOR, Role.ORGANIZATION, "title")
-_BOOK_PEOPLE = (*_PEOPLE, Role.EDITOR, Role.COMPILER)
 _IMPRINT = ("place", "publisher", "date", "date_separator")
-_CONFERENCE = ("conference_name", "conference_date", "conference_place")
-_ARTICLE = (*_PEOPLE, "article_type", "journal", "in_press", "date", "volume",
-            "issue", "volume_supplement", "issue_supplement", "volume_part",
-            "issue_part", "continuous_pagination", "pages", "date_epub", "pmid",
-            "retraction_of", "retraction_in", "erratum_in", "republished_from")
 _WEB = ("url", "medium", "updated", "cited")
-_MONOGRAPH = (*_BOOK_PEOPLE, Role.CARTOGRAPHER, "edition", *_CONFERENCE,
-              *_IMPRINT, *_WEB, "part_title", "extent_text")
+_ARTICLE = (*_PEOPLE, "article_type", "journal", *_WEB, "in_press", "date",
+            "volume", "issue", "volume_supplement", "issue_supplement",
+            "volume_part", "issue_part", "section", "continuous_pagination",
+            "pages", "column", "date_epub", "pmid", "retraction_of",
+            "retraction_in", "erratum_in", "republished_from")
+_MONOGRAPH = (*_PEOPLE, Role.EDITOR, Role.COMPILER, Role.CARTOGRAPHER,
+              "edition", "conference_name", "conference_date",
+              "conference_place", *_IMPRINT, *_WEB, "part_title", "extent_text",
+              "defined_term", "pages")
+_JOURNAL = _template(_render_article, ("title", "journal"), *_ARTICLE)
 _BOOK = _template(_render_monograph, ("title",), *_MONOGRAPH)
 _WEB_MONOGRAPH = _template(_render_monograph, ("title", "url"), *_MONOGRAPH)
-_CHAPTER = _template(_render_chapter, ("title", "booktitle"), *_BOOK_PEOPLE,
-                     "booktitle", *_CONFERENCE, *_IMPRINT, "pages")
+_CHAPTER = _template(_render_chapter, ("title", "booktitle"), *_MONOGRAPH,
+                     "booktitle")
 
 TEMPLATES: dict[EntryType, Template] = {
-    EntryType.ARTICLE: _template(_render_article, ("title", "journal"), *_ARTICLE),
-    EntryType.WEBJOURNAL: _template(
-        _render_webjournal, ("url", "title"), *_ARTICLE, *_WEB),
+    EntryType.ARTICLE: _JOURNAL,
+    EntryType.WEBJOURNAL: _template(_render_article, ("url", "title"), *_ARTICLE),
+    EntryType.NEWSPAPER: _JOURNAL,
     EntryType.BOOK: _BOOK,
-    EntryType.DICTIONARY: _template(
-        _render_dictionary, ("title",), *_BOOK_PEOPLE, Role.CARTOGRAPHER,
-        "edition", *_IMPRINT, "defined_term", "term_pages"),
+    EntryType.DICTIONARY: _BOOK,
     EntryType.CHAPTER: _CHAPTER,
     EntryType.INPROCEEDINGS: _CHAPTER,
     EntryType.PROCEEDINGS: _BOOK,
@@ -492,9 +446,6 @@ TEMPLATES: dict[EntryType, Template] = {
     EntryType.PATENT: _template(
         _render_patent, ("title", "report_number"), Role.INVENTOR,
         Role.ASSIGNEE, Role.AUTHOR, "title", "country", "report_number", "date"),
-    EntryType.NEWSPAPER: _template(
-        _render_newspaper, ("title", "journal"), *_PEOPLE, "journal", "date",
-        "section", "pages", "column"),
     EntryType.WEBMONOGRAPH: _WEB_MONOGRAPH,
     EntryType.WEBPAGE: _WEB_MONOGRAPH,
     EntryType.WEBDATABASE: _WEB_MONOGRAPH,

@@ -361,21 +361,20 @@ class TestCheck:
                        "2. Smith J; Doe A, cartographer. T [dissertation]. U; 2001.\n"
                        "3. Smith J. T. In: B. C. 2001.\n"
                        "4. Smith J. T. J. 2001.\n"
-                       "5. Smith J. T. In: B. 2001.\n"
-                       "6. Smith J. T. 2001.\n"
+                       "5. Smith J. T. In: B. 2nd. 2001.\n"
+                       "6. Smith J. T. 2001. p. 1-2.\n"
                        "7. Smith J. T. P; 2001.\n")
         unused = "warning: entry '{}': field '{}' not used by entry type '{}' " \
                  "[unknown-field]\n"
         assert err == (
             f"{bib}:7:1: " + unused.format("a1", "editor", "article")
-            + f"{bib}:9:1: " + unused.format("c2", "edition", "chapter")
             + "".join(f"{bib}:11:1: " + unused.format("m1", name, "misc")
-                      for name in ("journal", "volume", "pages"))
+                      for name in ("journal", "volume"))
             + f"{bib}:13:1: warning: field 'institution' ignored: 'publisher' "
             "is used instead [shadowed-field]\n")
         code, out, check_err = run_check(bib_paths=[str(bib)])
         assert (code, out, check_err) == (
-            0, "checked 7 entries: 0 errors, 6 warnings\n", err)
+            0, "checked 7 entries: 0 errors, 4 warnings\n", err)
 
     def test_hidden_author_and_in_press_locator_warn(self, tmp_path, capsys):
         bib = tmp_path / "hidden.bib"
@@ -525,14 +524,53 @@ class TestMonographs:
         assert capsys.readouterr() == (
             "checked 6 entries: 0 errors, 0 warnings\n", captured.err)
 
-    # A minimal valid entry of each probed type: a .bib type and the fields
-    # it needs beside author, title, publisher and year.
+    def test_shared_templates_print_what_they_read(self, tmp_path, capsys):
+        bib = tmp_path / "shared.bib"
+        bib.write_text(
+            "@newspaper{n1, title={T}, journal={J}, year={2002}, section={A},\n"
+            "  medium={Internet}, url={http://x}, lastchecked={2003 Jan 2}}\n"
+            "@article{w1, title={T}, journal={J}, url={http://x}, volume={4},\n"
+            "  pagination={continuous}, year={2001}, month={Jul}, updated={2001}}\n"
+            "@dictionary{d1, title={D}, publisher={P}, year={2000}, pages={119-120}}\n"
+            "@incollection{c1, author={Smith, J}, title={T}, booktitle={B},\n"
+            "  editor={Doe, A}, edition={2nd}, medium={Internet}, url={http://x},\n"
+            "  publisher={P}, year={2001}, pages={5-9}}\n"
+            "@article{a1, title={T}, journal={J}, inpress={maybe}, year={2001},\n"
+            "  volume={83}, volpart={2}, number={5}}\n", encoding="utf-8")
+        assert main(["format", "--bib", str(bib), "--all"]) == 0
+        captured = capsys.readouterr()
+        assert captured == (
+            "1. T. J [Internet]. 2002 [cited 2003 Jan 2];Sect. A. "
+            "Available from: http://x\n"
+            "2. T. J. 2001 [updated 2001];4. Available from: http://x\n"
+            "3. D. P; 2000. p. 119-20.\n"
+            "4. Smith J. T. In: Doe A, editor. B [Internet]. 2nd. P; 2001. "
+            "p. 5-9. Available from: http://x\n"
+            "5. T. J. 2001;83(Pt 2).\n",
+            f"{bib}:9:1: warning: inpress value 'maybe' ignored [unknown-value]\n"
+            f"{bib}:9:1: warning: field 'number' ignored: 'volpart' is used "
+            "instead [shadowed-field]\n")
+        assert main(["check", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == (
+            "checked 5 entries: 0 errors, 2 warnings\n", captured.err)
+
+    # A minimal valid entry of each of the 18 entry types: a .bib type and
+    # the fields it needs beside author, title and year.
+    PUBLISHED = {"publisher": "P"}
+    JOURNAL = {"journal": "J"}
     PROBED = [
-        ("book", {}), ("proceedings", {}), ("misc", {}), ("phdthesis", {}),
-        ("audiovisual", {}), ("electronic", {}), ("map", {}),
-        ("webpage", {"url": "http://x"}), ("book", {"url": "http://x"}),
-        ("database", {"url": "http://x"}), ("dictionary", {}),
-        ("incollection", {"booktitle": "B"}),
+        ("book", PUBLISHED), ("proceedings", PUBLISHED), ("misc", PUBLISHED),
+        ("phdthesis", PUBLISHED), ("audiovisual", PUBLISHED),
+        ("electronic", PUBLISHED), ("map", PUBLISHED),
+        ("webpage", {**PUBLISHED, "url": "http://x"}),
+        ("book", {**PUBLISHED, "url": "http://x"}),
+        ("database", {**PUBLISHED, "url": "http://x"}),
+        ("dictionary", PUBLISHED),
+        ("incollection", {**PUBLISHED, "booktitle": "B"}),
+        ("inproceedings", {**PUBLISHED, "booktitle": "B"}),
+        ("techreport", PUBLISHED), ("patent", {"number": "N1"}),
+        ("article", JOURNAL), ("article", {**JOURNAL, "url": "http://x"}),
+        ("newspaper", JOURNAL),
     ]
     VALUES = {**dict.fromkeys([role.value for role in Role], "Doe, A"),
               **dict.fromkeys(["date", "epub", "updated", "lastchecked",
@@ -543,8 +581,7 @@ class TestMonographs:
                              ids=[t + "+url" * ("url" in n) for t, n in PROBED])
     def test_each_accepted_field_is_printed_or_reported(
             self, tmp_path, entry_type, needs):
-        base = {"author": "Smith, J", "title": "T", "publisher": "P",
-                "year": "2001", **needs}
+        base = {"author": "Smith, J", "title": "T", "year": "2001", **needs}
         bib = tmp_path / "probe.bib"
 
         def run(fields):
@@ -556,10 +593,8 @@ class TestMonographs:
         base_out, base_err = run(base)
         assert base_out and base_err == ""
         accepted = TEMPLATES[map_entry_type(RawEntry(entry_type, "k", base))].fields
-        # still open: unprinted common fields, and a dictionary's pages without a term
+        # still open: the common fields nothing prints
         probed = accepted - UNPRINTED_FIELDS - base.keys()
-        if entry_type == "dictionary":
-            probed -= {"pages"}
         silent = [name for name in sorted(probed)
                   if run({**base, name: self.VALUES.get(name, "Xy")}) == (base_out, "")]
         assert silent == []

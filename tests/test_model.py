@@ -16,6 +16,7 @@ from vanref.model import (
     ContributorList,
     EntryType,
     NameParseError,
+    PageExtent,
     PageKind,
     PartialDate,
     PersonName,
@@ -29,6 +30,7 @@ from vanref.model import (
     parse_pages,
 )
 from vanref.model import _ROLE_FIELDS, _is_lower_word, _person_from_parts
+from vanref.render import format_journal_locator
 
 
 # Reference for the name parser: the earlier two-pass version, which split
@@ -233,12 +235,7 @@ def normalize_reference(raw):
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))
 
     pages_value = plain("pages")
-    pages = None
-    term_pages = ""
-    if entry_type is EntryType.DICTIONARY:
-        term_pages = pages_value
-    elif pages_value:
-        pages = parse_pages(pages_value)
+    pages = parse_pages(pages_value) if pages_value else None
 
     pagination = f.get("pagination", "").strip().lower()
     if pagination and pagination != "continuous":
@@ -271,12 +268,16 @@ def normalize_reference(raw):
                 for later in fallbacks[i + 1:] if later in f)
             break
 
-    in_press = "inpress" in f and f["inpress"].strip().lower() in TRUE_WORDS | {""}
-    if in_press and entry_type in (EntryType.ARTICLE, EntryType.WEBJOURNAL):
+    inpress = f.get("inpress", "").strip().lower()
+    in_press = "inpress" in f and inpress in TRUE_WORDS | {""}
+    if inpress not in {"", "yes", "true", "1", "on", "no", "false", "0", "off"}:
+        diags.append(warning("unknown-value", f"inpress value '{inpress}' ignored"))
+    journal_family = entry_type in (
+        EntryType.ARTICLE, EntryType.WEBJOURNAL, EntryType.NEWSPAPER)
+    if in_press and journal_family:
         hidden = ["volume", "number", "issue", "volsuppl", "issuesuppl",
-                  "volpart", "issuepart", "pages", "month", "day"]
-        if entry_type is EntryType.WEBJOURNAL:
-            hidden += ["updated", "lastchecked"]
+                  "volpart", "issuepart", "pages", "section", "column", "month",
+                  "day", "updated", "lastchecked"]
         diags.extend(warning(
             "shadowed-field", f"field '{name}' ignored: 'inpress' is used instead")
             for name in hidden if name in f)
@@ -325,7 +326,6 @@ def normalize_reference(raw):
         conference_date=date_of("conferencedate"),
         conference_place=plain("conferenceplace"),
         defined_term=plain("term"),
-        term_pages=term_pages,
         country=plain("country"),
         section=plain("section"),
         column=plain("column"),
@@ -334,7 +334,35 @@ def normalize_reference(raw):
         continuous_pagination=pagination == "continuous",
         date_separator=datesep,
     )
+    if journal_family and not in_press:
+        diags.extend(_locator_reference(
+            record, "number" if number_value or "issue" not in f else "issue"))
     return record, [d._replace(offset=raw.span[0]) for d in diags]
+
+
+def _locator_reference(record, issue_field):
+    """The supplement and part warnings, read off ``format_journal_locator``:
+    a field is lost when blanking it leaves the locator as it was."""
+    if record.volume_supplement and record.issue_supplement:
+        return []  # a render error
+    if record.continuous_pagination:
+        record = record._replace(issue="", issue_supplement="", issue_part="")
+    fields = {"volsuppl": "volume_supplement", "volpart": "volume_part",
+              "issuesuppl": "issue_supplement", "issuepart": "issue_part",
+              issue_field: "issue"}
+    locator = format_journal_locator(record)
+    lost = [name for name, attr in fields.items() if getattr(record, attr)
+            and format_journal_locator(record._replace(**{attr: ""})) == locator]
+    printed = [name for name, attr in fields.items()
+               if getattr(record, attr) and name not in lost]
+    out = []
+    for name in lost:
+        host, attr = (("volume", "volume") if name.startswith("vol")
+                      else (issue_field, "issue"))
+        why = (f"it needs '{host}'" if name != issue_field and not getattr(record, attr)
+               else f"'{printed[0]}' is used instead")
+        out.append(warning("shadowed-field", f"field '{name}' ignored: {why}"))
+    return out
 
 
 # Every field the reference reads, plus two it ignores.
@@ -372,7 +400,7 @@ def _diagnostic_multiset(diags):
 def _raw_entries(draw):
     entry_type = draw(st.sampled_from([
         "techreport", "patent", "dictionary", "inbook", "phdthesis",
-        "article", "book", "artwork"]))
+        "article", "newspaper", "book", "artwork"]))
     names = draw(st.lists(st.sampled_from(_NORMALIZE_FIELDS), unique=True,
                           max_size=16))
     fields = {name: draw(_FIELD_VALUES) for name in names}
@@ -675,10 +703,11 @@ class TestNormalize:
         assert record.report_number == "AFRLSRBLTR020123"
         assert record.issue == ""
 
-    def test_dictionary_pages_go_to_term_pages(self, corpus_records):
-        record = corpus_records["filamin"]
-        assert record.term_pages == "675"
-        assert record.pages is None
+    def test_dictionary_pages_parse_like_any_pages(self, corpus_records):
+        assert corpus_records["filamin"].pages == parse_pages("675")
+        record, _ = normalize(raw("dictionary", title="t", year="2001",
+                                  pages="119-120"))
+        assert record.pages == PageExtent(PageKind.NUMERIC_RANGE, "119", "120")
 
     def test_in_press_flag(self, corpus_records):
         assert corpus_records["tian.araki.ea:signature"].in_press
@@ -731,6 +760,47 @@ class TestNormalize:
         _, diags = normalize(raw("book", title="t", inpress="yes",
                                  date="2001 Jul 3"))
         assert diags == []
+
+    @pytest.mark.parametrize("fields, lost", [
+        ({"volume": "83", "volpart": "2", "number": "5"},
+         [("number", "'volpart' is used instead")]),
+        ({"volume": "42", "volsuppl": "2", "issue": "7", "issuepart": "1"},
+         [("issuepart", "'volsuppl' is used instead"),
+          ("issue", "'volsuppl' is used instead")]),
+        ({"volsuppl": "2", "volpart": "1"},
+         [("volsuppl", "it needs 'volume'"), ("volpart", "it needs 'volume'")]),
+        ({"volume": "4", "issuesuppl": "2"}, [("issuesuppl", "it needs 'number'")]),
+        ({"number": "4", "issuesuppl": "2", "issuepart": "1"},
+         [("issuepart", "'issuesuppl' is used instead")]),
+        ({"volume": "4", "number": "2", "issuepart": "1",
+          "pagination": "continuous"}, []),
+        ({"volume": "4", "volsuppl": "2", "issuesuppl": "3"}, []),
+        ({"volume": "4", "number": "2", "issuepart": "1"}, []),
+    ])
+    def test_locator_fields_print_or_warn(self, fields, lost):
+        for entry_type in ("article", "newspaper"):
+            _, diags = normalize(raw(entry_type, title="t", journal="j",
+                                     year="2001", **fields))
+            assert [(d.code, d.message) for d in diags] == [
+                ("shadowed-field", f"field '{name}' ignored: {why}")
+                for name, why in lost]
+        _, diags = normalize(raw("article", title="t", journal="j", year="2001",
+                                 inpress="yes", **fields))
+        assert {d.message for d in diags} == {
+            f"field '{name}' ignored: 'inpress' is used instead" for name in fields
+            if name != "pagination"}
+
+    @pytest.mark.parametrize("value, warns", [
+        ("maybe", True), ("Perhaps ", True), ("yes", False), ("TRUE", False),
+        ("1", False), ("on", False), ("", False), ("no", False), ("false", False),
+        ("0", False), ("off", False)])
+    def test_unknown_inpress_value_warns(self, value, warns):
+        record, diags = normalize(raw("article", title="t", journal="j",
+                                      year="2001", volume="4", inpress=value))
+        assert record.in_press == (value.strip().lower() in TRUE_WORDS | {""})
+        messages = [(d.code, d.message) for d in diags if d.code == "unknown-value"]
+        assert messages == ([("unknown-value", f"inpress value "
+                              f"'{value.strip().lower()}' ignored")] if warns else [])
 
     def test_number_shadows_issue_except_in_reports(self):
         record, diags = normalize(raw("article", title="t", journal="j",
@@ -795,6 +865,18 @@ class TestNormalize:
         "inpress": "", "url": "u", "number": "1", "issue": "2", "day": "3",
         "lastchecked": "2002", "volume": "4"}))
     @example(RawEntry("article", "k", {"inpress": "yes", "date": "2001 Jul"}))
+    @example(RawEntry("newspaper", "k", {
+        "inpress": "on", "section": "A", "column": "2", "updated": "2001"}))
+    @example(RawEntry("article", "k", {"inpress": "maybe", "volsuppl": "1",
+                                       "issuepart": "2"}))
+    @example(RawEntry("article", "k", {
+        "volume": "4", "volpart": "1", "volsuppl": "2", "issue": "3",
+        "issuepart": "5"}))
+    @example(RawEntry("newspaper", "k", {
+        "volume": "4", "volpart": "1", "number": "3", "issuesuppl": "6",
+        "issuepart": "5", "pagination": "continuous"}))
+    @example(RawEntry("article", "k", {
+        "number": "3", "issuesuppl": "6", "issuepart": "5", "volpart": "1"}))
     def test_field_table_matches_reference(self, entry):
         record, diags = normalize(entry)
         expected, expected_diags = normalize_reference(entry)
