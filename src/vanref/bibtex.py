@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .diagnostics import Diagnostic, error, warning
 
-# Month macros are predefined, like the standard BibTeX styles do.
+# Month macros, predefined as in the standard BibTeX styles: the one month table.
 MONTH_MACROS = {
     "jan": "January",
     "feb": "February",

@@ -11,7 +11,7 @@ import re
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .bibtex import _SPECIAL_RE, RawEntry, _flatten, strip_latex
+from .bibtex import MONTH_MACROS, _SPECIAL_RE, RawEntry, _flatten, strip_latex
 from .diagnostics import Diagnostic, error, warning
 
 
@@ -166,7 +166,6 @@ class BibRecord(NamedTuple):
 
     key: str
     entry_type: EntryType
-    raw_entry_type: str = ""
     contributors: tuple[ContributorList, ...] = ()
     title: str = ""
     journal: str = ""
@@ -384,12 +383,10 @@ def initials(given: str) -> str:
 # ---------------------------------------------------------------------------
 # dates
 
-_MONTH_NUMBERS: dict[str, int] = {}
-for _i, _name in enumerate(
-        ["january", "february", "march", "april", "may", "june", "july",
-         "august", "september", "october", "november", "december"], start=1):
-    _MONTH_NUMBERS[_name] = _i
-    _MONTH_NUMBERS[_name[:3]] = _i
+# Each month's full name and abbreviation, lowercased, to its number.
+_MONTH_NUMBERS = {name: number for number, (abbreviation, full) in
+                  enumerate(MONTH_MACROS.items(), start=1)
+                  for name in (abbreviation, full.lower())}
 
 _DATE_RE = re.compile(
     r"(c?)(\d{4})"
@@ -418,9 +415,7 @@ def parse_date(value: str,
     if m:
         circa, year, month_word, day, day_end, open_tail = m.groups()
         month = parse_month(month_word) if month_word else None
-        if month_word and month is None:
-            pass  # fall through to the raw form below
-        else:
+        if month is not None or not month_word:  # else the raw form below
             try:
                 return PartialDate(
                     year=int(year),
@@ -540,59 +535,99 @@ _ROLE_FIELDS = [(role.value, role) for role in Role]
 # Values read as "yes" in flag-like fields.
 TRUE_WORDS = {"yes", "true", "1", "on"}
 
-# ``.bib`` fields read through ``strip_latex``, by record attribute.
-_PLAIN_FIELDS = {
-    "title": "title",
-    "journal": "journal",
-    "booktitle": "booktitle",
-    "volume": "volume",
-    "volsuppl": "volume_supplement",
-    "issuesuppl": "issue_supplement",
-    "volpart": "volume_part",
-    "issuepart": "issue_part",
-    "address": "place",
-    "edition": "edition",
-    "pmid": "pmid",
-    "retractionof": "retraction_of",
-    "retractionin": "retraction_in",
-    "erratumin": "erratum_in",
-    "republishedfrom": "republished_from",
-    "sponsor": "sponsor",
-    "type": "report_type",
-    "contract": "contract_number",
-    "articletype": "article_type",
-    "medium": "medium",
-    "part": "part_title",
-    "extent": "extent_text",
-    "conference": "conference_name",
-    "conferenceplace": "conference_place",
-    "term": "defined_term",
-    "country": "country",
-    "section": "section",
-    "column": "column",
-    "affiliation": "affiliation",
-}
 
-# ``.bib`` fields read through ``parse_date``, by record attribute.
-_DATE_FIELDS = {
-    "epub": "date_epub",
-    "updated": "updated",
-    "lastchecked": "cited",
-    "conferencedate": "conference_date",
-}
+def _in_press(text: str, diags: list[Diagnostic]) -> bool:
+    flag = text.lower()
+    in_press = not flag or flag in TRUE_WORDS
+    if not in_press and flag not in ("no", "false", "0", "off"):
+        diags.append(warning("unknown-value", f"inpress value '{flag}' ignored"))
+    return in_press
 
-# The ``.bib`` fields each record attribute and role is built from, winner first.
-BIB_FIELDS: dict[str | Role, tuple[str, ...]] = {attr: (name,) for name, attr in [
-    *_PLAIN_FIELDS.items(), *_DATE_FIELDS.items(), *_ROLE_FIELDS]}
-BIB_FIELDS.update(
-    issue=("number", "issue"), report_number=("number",),
-    publisher=("publisher", "school", "institution"),
-    date=("date", "year", "month", "day"), pages=("pages",),
-    url=("url",), in_press=("inpress",),
-    continuous_pagination=("pagination",), date_separator=("datesep",))
+
+def _continuous(text: str, diags: list[Diagnostic]) -> bool:
+    value = text.lower()
+    if value and value != "continuous":
+        diags.append(warning("unknown-value", f"pagination value '{value}' ignored"))
+    return value == "continuous"
+
+
+def _date_separator(text: str, diags: list[Diagnostic]) -> str:
+    if text and text not in (";", "."):
+        diags.append(warning("unknown-value", f"datesep '{text}' ignored; using ';'"))
+        return ";"
+    return text or ";"
+
+
+class FieldRow(NamedTuple):
+    """The ``.bib`` fields one record attribute or role is read from, winner
+    first; ``clean`` makes a field's text and ``read`` the winner's value."""
+
+    fields: tuple[str, ...]
+    read: Callable[[str, list[Diagnostic]], object] | None = None  # None: the text
+    clean: Callable[[str, list[Diagnostic]], str] = strip_latex
+
+
+# The one map from ``.bib`` fields to record attributes and roles.  The roles
+# are read by ``parse_names`` in ``Role`` order and ``date`` by hand; ``normalize``
+# reads every other row by one rule (see ``_read``).
+BIB_FIELDS: dict[str | Role, FieldRow] = {
+    **{role: FieldRow((name,)) for name, role in _ROLE_FIELDS},
+    "title": FieldRow(("title",)),
+    "journal": FieldRow(("journal",)),
+    "booktitle": FieldRow(("booktitle",)),
+    "volume": FieldRow(("volume",)),
+    "issue": FieldRow(("number", "issue")),
+    "volume_supplement": FieldRow(("volsuppl",)),
+    "issue_supplement": FieldRow(("issuesuppl",)),
+    "volume_part": FieldRow(("volpart",)),
+    "issue_part": FieldRow(("issuepart",)),
+    "pages": FieldRow(("pages",), lambda text, _: parse_pages(text) if text else None),
+    "date": FieldRow(("date", "year", "month", "day")),
+    "date_epub": FieldRow(("epub",), parse_date),
+    "place": FieldRow(("address",)),
+    "publisher": FieldRow(("publisher", "school", "institution")),
+    "edition": FieldRow(("edition",)),
+    "pmid": FieldRow(("pmid",)),
+    "retraction_of": FieldRow(("retractionof",)),
+    "retraction_in": FieldRow(("retractionin",)),
+    "erratum_in": FieldRow(("erratumin",)),
+    "republished_from": FieldRow(("republishedfrom",)),
+    "sponsor": FieldRow(("sponsor",)),
+    "report_type": FieldRow(("type",)),
+    "report_number": FieldRow(("number",)),
+    "contract_number": FieldRow(("contract",)),
+    "article_type": FieldRow(("articletype",)),
+    "url": FieldRow(("url",), clean=lambda value, _: _flatten(value)),
+    "medium": FieldRow(("medium",)),
+    "updated": FieldRow(("updated",), parse_date),
+    "cited": FieldRow(("lastchecked",), parse_date),
+    "part_title": FieldRow(("part",)),
+    "extent_text": FieldRow(("extent",)),
+    "conference_name": FieldRow(("conference",)),
+    "conference_date": FieldRow(("conferencedate",), parse_date),
+    "conference_place": FieldRow(("conferenceplace",)),
+    "defined_term": FieldRow(("term",)),
+    "country": FieldRow(("country",)),
+    "section": FieldRow(("section",)),
+    "column": FieldRow(("column",)),
+    "affiliation": FieldRow(("affiliation",)),
+    "in_press": FieldRow(("inpress",), _in_press),
+    "continuous_pagination": FieldRow(("pagination",), _continuous),
+    "date_separator": FieldRow(("datesep",), _date_separator),
+}
 
 # ``.bib`` fields every entry type accepts though no template prints them.
 UNPRINTED_FIELDS = frozenset({"language", "note", "key"})
+
+# Each field ``_read`` reads, with its attribute and row.  ``number`` is the
+# issue, except in reports and patents, whose document number it is.
+_ROWS_BY_FIELD = {name: (attr, row) for attr, row in BIB_FIELDS.items()
+                  if isinstance(attr, str) and attr not in ("date", "report_number")
+                  for name in row.fields}
+_DOCUMENT_TYPES = (EntryType.TECHREPORT, EntryType.PATENT)
+_DOCUMENT_ROWS_BY_FIELD = {**_ROWS_BY_FIELD,
+                           "number": ("report_number", BIB_FIELDS["report_number"]),
+                           "issue": ("issue", FieldRow(("issue",)))}
 
 # The entry types rendered as journal articles, and the fields an in-press
 # one's "In press <year>" stands in for.
@@ -614,8 +649,23 @@ def _shadowed(name: str, winner: str) -> Diagnostic:
                    f"field '{name}' ignored: '{winner}' is used instead")
 
 
-def _unprinted_qualifiers(values: dict[str, object], issue: str, issue_field: str,
-                          continuous: bool) -> list[Diagnostic]:
+def _read(row: FieldRow, fields: dict[str, str], diags: list[Diagnostic]) -> object:
+    """The one rule: the first field with non-empty text is read, and each
+    later field present warns ``shadowed-field``; all empty read as ``""``."""
+    text = winner = ""
+    for name in row.fields:
+        if name in fields:
+            if winner:
+                diags.append(_shadowed(name, winner))
+            else:
+                text = row.clean(fields[name], diags)
+                if text:
+                    winner = name
+    return text if row.read is None else row.read(text, diags)
+
+
+def _unprinted_qualifiers(values: dict[str, object],
+                          fields: dict[str, str]) -> list[Diagnostic]:
     """Warn for each supplement or part the journal locator leaves out.
 
     The locator prints one: the first whose volume or issue is set.  A
@@ -625,11 +675,13 @@ def _unprinted_qualifiers(values: dict[str, object], issue: str, issue_field: st
     get = values.get
     if get("volume_supplement") and get("issue_supplement"):
         return []  # rendering fails with ConflictingLocator
+    issue, continuous = get("issue"), get("continuous_pagination")
+    issue_field = "number" if not issue or strip_latex(fields.get("number", "")) else "issue"
     hosts = {"volume": get("volume"), "issue": issue}
     diags = []
     winner = ""
     for name, host in _QUALIFIERS.items():
-        if not get(_PLAIN_FIELDS[name]) or continuous and host == "issue":
+        if not get(_ROWS_BY_FIELD[name][0]) or continuous and host == "issue":
             continue
         if not hosts[host]:
             diags.append(warning(
@@ -647,24 +699,17 @@ def _unprinted_qualifiers(values: dict[str, object], issue: str, issue_field: st
 def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     """Build a typed record from a raw entry, collecting diagnostics.
 
-    Every diagnostic points at the entry's ``@`` (``raw.span[0]``).  The
-    fields in ``_PLAIN_FIELDS`` and ``_DATE_FIELDS`` are read in the entry's
-    own order; the rest need the entry type or other fields and are read
-    one by one.
+    Each row of :data:`BIB_FIELDS` is read by one rule, winner first: the
+    first of its fields whose text is non-empty is read, and each later
+    field present warns ``shadowed-field``.  Rows are read in the order the
+    entry first names one of their fields; a row with none keeps the
+    record's default.  The contributor roles (in ``Role`` order) and
+    ``date`` (``date``, else ``year``/``month``/``day``) are read by hand,
+    and in reports and patents ``number`` is the document number.  Every
+    diagnostic points at the entry's ``@`` (``raw.span[0]``).
     """
     diags: list[Diagnostic] = []
     f = raw.fields
-
-    values: dict[str, object] = {}
-    for name, value in f.items():
-        attr = _PLAIN_FIELDS.get(name)
-        if attr is not None:
-            values[attr] = strip_latex(value, diags)
-        elif name in _DATE_FIELDS:
-            values[_DATE_FIELDS[name]] = parse_date(_flatten(value), diags)
-
-    def plain(name: str) -> str:
-        return strip_latex(f[name], diags) if name in f else ""
 
     contributors: list[ContributorList] = []
     for field_name, role in _ROLE_FIELDS:
@@ -683,27 +728,35 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                 diags.append(_shadowed("author", people.role.value))
                 break
 
+    rows = _DOCUMENT_ROWS_BY_FIELD if entry_type in _DOCUMENT_TYPES else _ROWS_BY_FIELD
+    values: dict[str, object] = {}
+    for name in f:
+        if name in rows:
+            attr, row = rows[name]
+            if attr not in values:
+                values[attr] = _read(row, f, diags)
+
     date = None
     if "date" in f:
-        date = parse_date(_flatten(f["date"]), diags)
-        for name in ("year", "month", "day"):
-            if name in f:
-                diags.append(_shadowed(name, "date"))
+        date = parse_date(strip_latex(f["date"], diags), diags)
+        diags.extend(_shadowed(name, "date")
+                     for name in ("year", "month", "day") if name in f)
     elif "year" in f:
-        year_text = _flatten(f["year"])
-        month = parse_month(f["month"]) if "month" in f else None
-        if "month" in f and month is None:
-            diags.append(warning(
-                "unparsed-date", f"month '{f['month']}' ignored"))
-        day = day_end = None
+        year_text = strip_latex(f["year"], diags)
+        month = day = day_end = None
+        if "month" in f:
+            month_text = strip_latex(f["month"], diags)
+            month = parse_month(month_text)
+            if month is None:
+                diags.append(warning("unparsed-date", f"month '{month_text}' ignored"))
         if "day" in f:
-            m = _DAY_RE.fullmatch(f["day"].strip())
+            day_text = strip_latex(f["day"], diags)
+            m = _DAY_RE.fullmatch(day_text)
             if m and month is not None:
                 day = int(m.group(1))
                 day_end = int(m.group(2)) if m.group(2) else None
             else:
-                diags.append(warning(
-                    "unparsed-date", f"day '{f['day']}' ignored"))
+                diags.append(warning("unparsed-date", f"day '{day_text}' ignored"))
         try:
             date = PartialDate(
                 year=int(year_text) if year_text.isdigit() else year_text,
@@ -716,48 +769,8 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         diags.append(warning(
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))
 
-    pages_value = plain("pages")
-    pages = parse_pages(pages_value) if pages_value else None
-
-    pagination = f.get("pagination", "").strip().lower()
-    if pagination and pagination != "continuous":
-        diags.append(warning(
-            "unknown-value", f"pagination value '{pagination}' ignored"))
-
-    datesep = f.get("datesep", ";").strip() or ";"
-    if datesep not in {";", "."}:
-        diags.append(warning(
-            "unknown-value", f"datesep '{datesep}' ignored; using ';'"))
-        datesep = ";"
-
-    # The "number" field carries the issue for journal-family entries and
-    # the document number for reports and patents.
-    number_value = plain("number")
-    if entry_type in (EntryType.TECHREPORT, EntryType.PATENT):
-        issue = plain("issue")
-        report_number = number_value
-    else:
-        issue = number_value or plain("issue")
-        report_number = ""
-        if number_value and "issue" in f:
-            diags.append(_shadowed("issue", "number"))
-
-    # a fallback is stripped (and reports) only if the fields before it are empty
-    publisher = winner = ""
-    for name in BIB_FIELDS["publisher"]:
-        if not publisher:
-            publisher, winner = plain(name), name
-        elif name in f:
-            diags.append(_shadowed(name, winner))
-
-    in_press = False
-    if "inpress" in f:
-        flag = f["inpress"].strip().lower()
-        in_press = not flag or flag in TRUE_WORDS
-        if not in_press and flag not in ("no", "false", "0", "off"):
-            diags.append(warning("unknown-value", f"inpress value '{flag}' ignored"))
     if entry_type in _ARTICLE_TYPES:
-        if in_press:
+        if values.get("in_press"):
             diags.extend(_shadowed(name, "inpress")
                          for name in _IN_PRESS_HIDES if name in f)
             if "date" in f and date.month:
@@ -765,26 +778,10 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                     "shadowed-field",
                     "month and day of field 'date' ignored: 'inpress' is used instead"))
         elif not f.keys().isdisjoint(_QUALIFIERS):
-            diags.extend(_unprinted_qualifiers(
-                values, issue, "number" if number_value or "issue" not in f else "issue",
-                pagination == "continuous"))
+            diags.extend(_unprinted_qualifiers(values, f))
 
-    record = BibRecord(
-        key=raw.key,
-        entry_type=entry_type,
-        raw_entry_type=raw.entry_type,
-        contributors=tuple(contributors),
-        issue=issue,
-        pages=pages,
-        date=date,
-        publisher=publisher,
-        report_number=report_number,
-        url=_flatten(f["url"]) if "url" in f else "",
-        in_press=in_press,
-        continuous_pagination=pagination == "continuous",
-        date_separator=datesep,
-        **values,
-    )
+    record = BibRecord(key=raw.key, entry_type=entry_type,
+                       contributors=tuple(contributors), date=date, **values)
     return record, [d._replace(offset=raw.span[0]) for d in diags]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
+from .bibtex import MONTH_MACROS
 from .model import (
     BIB_FIELDS,
     UNPRINTED_FIELDS,
@@ -32,8 +33,7 @@ from .model import (
     initials,
 )
 
-_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
-           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_MONTHS = tuple(abbreviation.title() for abbreviation in MONTH_MACROS)
 
 
 class _StyleConfigFields(NamedTuple):
@@ -404,7 +404,7 @@ class Template(NamedTuple):
 
 def _template(render: Callable[[BibRecord, StyleConfig], str],
               requires: tuple[str, ...], *reads: str | Role) -> Template:
-    fields = UNPRINTED_FIELDS.union(*(BIB_FIELDS[name] for name in reads))
+    fields = UNPRINTED_FIELDS.union(*(BIB_FIELDS[name].fields for name in reads))
     return Template(render, requires, reads, fields)
 
 

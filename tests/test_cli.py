@@ -554,6 +554,37 @@ class TestMonographs:
         assert capsys.readouterr() == (
             "checked 5 entries: 0 errors, 2 warnings\n", captured.err)
 
+    def test_dates_and_flags_get_the_latex_cleanup(self, tmp_path, capsys):
+        bib = tmp_path / "latex.bib"
+        bib.write_text(
+            "@article{y, author={T, J}, title={T}, journal={J}, year={{2001}}}\n"
+            "@proceedings{c, title={T}, conferencedate={2001 Sep 13--15},\n"
+            "  publisher={P}, year={2001}}\n"
+            "@article{d, title={T}, journal={J}, date={2001 Sep 13--15}}\n"
+            "@article{r, title={T}, journal={J}, year={2001}, month={Sep},\n"
+            "  day={13--15}}\n"
+            "@article{i, title={T}, journal={J}, inpress={{yes}}, year={2001}}\n"
+            "@article{p, title={T}, journal={J}, pagination={{continuous}},\n"
+            "  volume={4}, number={2}, year={2001}}\n"
+            "@book{s, title={T}, publisher={P}, datesep={{.}}, year={2001}}\n"
+            "@article{m, title={T}, journal={J}, year={2001}, month={{Jul}},\n"
+            "  day={{4}}}\n"
+            "@article{u, title={T}, journal={J}, year={2001},\n"
+            "  url={http://x/a--b_{c}}}\n", encoding="utf-8")
+        assert main(["format", "--bib", str(bib), "--all"]) == 0
+        assert capsys.readouterr() == (
+            "1. T J. T. J. 2001.\n"
+            "2. T. 2001 Sep 13-15. P; 2001.\n"
+            "3. T. J. 2001 Sep 13-15.\n"
+            "4. T. J. 2001 Sep 13-15.\n"
+            "5. T. J. In press 2001.\n"
+            "6. T. J. 2001;4.\n"
+            "7. T. P. 2001.\n"
+            "8. T. J. 2001 Jul 4.\n"
+            "9. T. J. 2001. Available from: http://x/a--b_{c}\n", "")
+        assert main(["check", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == ("checked 9 entries: 0 errors, 0 warnings\n", "")
+
     # A minimal valid entry of each of the 18 entry types: a .bib type and
     # the fields it needs beside author, title and year.
     PUBLISHED = {"publisher": "P"}

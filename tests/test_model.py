@@ -4,6 +4,7 @@ import copy
 import pickle
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -11,7 +12,9 @@ from hypothesis import example, given, strategies as st
 from vanref.bibtex import RawEntry, strip_latex
 from vanref.diagnostics import error, warning
 from vanref.model import (
+    BIB_FIELDS,
     TRUE_WORDS,
+    UNPRINTED_FIELDS,
     BibRecord,
     ContributorList,
     EntryType,
@@ -30,7 +33,7 @@ from vanref.model import (
     parse_pages,
 )
 from vanref.model import _ROLE_FIELDS, _is_lower_word, _person_from_parts
-from vanref.render import format_journal_locator
+from vanref.render import TEMPLATES, format_journal_locator
 
 
 # Reference for the name parser: the earlier two-pass version, which split
@@ -171,6 +174,7 @@ _NAME_ALPHABET = " ,{}aAnNdDoOtThHeErRsSvV\\\t\n\x1c\xa0-."
 
 # Reference for ``normalize``: the earlier version, which probed every field
 # name it knows through ``plain()`` instead of walking the entry's fields.
+# Every field but ``url`` gets the same LaTeX cleanup.
 
 def normalize_reference(raw):
     diags = []
@@ -183,7 +187,7 @@ def normalize_reference(raw):
         return " ".join(f[name].split()) if name in f else ""
 
     def date_of(name):
-        return parse_date(verbatim(name), diags) if name in f else None
+        return parse_date(plain(name), diags) if name in f else None
 
     contributors = []
     for field_name, role in _ROLE_FIELDS:
@@ -208,20 +212,22 @@ def normalize_reference(raw):
             diags.append(warning(
                 "shadowed-field", f"field '{name}' ignored: 'date' is used instead"))
     if date is None and "year" in f:
-        year_text = verbatim("year")
-        month = parse_month(f["month"]) if "month" in f else None
+        year_text = plain("year")
+        month_text = plain("month")
+        month = parse_month(month_text) if "month" in f else None
         if "month" in f and month is None:
             diags.append(warning(
-                "unparsed-date", f"month '{f['month']}' ignored"))
+                "unparsed-date", f"month '{month_text}' ignored"))
         day = day_end = None
         if "day" in f:
-            m = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", f["day"].strip())
+            day_text = plain("day")
+            m = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", day_text)
             if m and month is not None:
                 day = int(m.group(1))
                 day_end = int(m.group(2)) if m.group(2) else None
             else:
                 diags.append(warning(
-                    "unparsed-date", f"day '{f['day']}' ignored"))
+                    "unparsed-date", f"day '{day_text}' ignored"))
         try:
             date = PartialDate(
                 year=int(year_text) if year_text.isdigit() else year_text,
@@ -237,12 +243,12 @@ def normalize_reference(raw):
     pages_value = plain("pages")
     pages = parse_pages(pages_value) if pages_value else None
 
-    pagination = f.get("pagination", "").strip().lower()
+    pagination = plain("pagination").lower()
     if pagination and pagination != "continuous":
         diags.append(warning(
             "unknown-value", f"pagination value '{pagination}' ignored"))
 
-    datesep = f.get("datesep", ";").strip() or ";"
+    datesep = plain("datesep") or ";"
     if datesep not in {";", "."}:
         diags.append(warning(
             "unknown-value", f"datesep '{datesep}' ignored; using ';'"))
@@ -268,7 +274,7 @@ def normalize_reference(raw):
                 for later in fallbacks[i + 1:] if later in f)
             break
 
-    inpress = f.get("inpress", "").strip().lower()
+    inpress = plain("inpress").lower()
     in_press = "inpress" in f and inpress in TRUE_WORDS | {""}
     if inpress not in {"", "yes", "true", "1", "on", "no", "false", "0", "off"}:
         diags.append(warning("unknown-value", f"inpress value '{inpress}' ignored"))
@@ -289,7 +295,6 @@ def normalize_reference(raw):
     record = BibRecord(
         key=raw.key,
         entry_type=entry_type,
-        raw_entry_type=raw.entry_type,
         contributors=tuple(contributors),
         title=plain("title"),
         journal=plain("journal"),
@@ -336,7 +341,7 @@ def normalize_reference(raw):
     )
     if journal_family and not in_press:
         diags.extend(_locator_reference(
-            record, "number" if number_value or "issue" not in f else "issue"))
+            record, "number" if number_value or not issue else "issue"))
     return record, [d._replace(offset=raw.span[0]) for d in diags]
 
 
@@ -877,8 +882,70 @@ class TestNormalize:
         "issuepart": "5", "pagination": "continuous"}))
     @example(RawEntry("article", "k", {
         "number": "3", "issuesuppl": "6", "issuepart": "5", "volpart": "1"}))
+    @example(RawEntry("article", "k", {"number": "", "issue": "{}", "issuesuppl": "6"}))
+    @example(RawEntry("article", "k", {
+        "year": "{2001}", "month": "{Jul}", "day": "{4}", "inpress": "{Yes}",
+        "pagination": "{continuous}", "datesep": "{.}", "epub": "2001 Sep 13--15"}))
     def test_field_table_matches_reference(self, entry):
         record, diags = normalize(entry)
         expected, expected_diags = normalize_reference(entry)
         assert record._asdict() == expected._asdict()
         assert _diagnostic_multiset(diags) == _diagnostic_multiset(expected_diags)
+
+
+# Every row ``normalize`` reads by the winner-first rule: all but the roles
+# and ``date``.
+_RULE_ROWS = [(attr, row) for attr, row in BIB_FIELDS.items()
+              if isinstance(attr, str) and attr != "date"]
+
+
+def _sample(attr, row):
+    """A value with LaTeX to clean for one of the row's fields, and its reading."""
+    if row.read is parse_date:
+        return "{2001} Sep 13--15", PartialDate(2001, 9, 13, 15)
+    return {
+        "pages": ("{5}--9", PageExtent(PageKind.NUMERIC_RANGE, "5", "9")),
+        "url": ("http://x/{a}--b  c", "http://x/{a}--b c"),
+        "in_press": ("{Yes}", True),
+        "continuous_pagination": ("{Continuous}", True),
+        "date_separator": ("{.}", "."),
+    }.get(attr, ("{A} B--C", "A B-C"))
+
+
+def _entry_type_reading(attr):
+    """The first ``.bib`` type whose template prints ``attr``."""
+    return next(t.value for t in EntryType if attr in TEMPLATES[t].reads)
+
+
+class TestFieldTable:
+    """``BIB_FIELDS`` is what ``normalize`` reads and what README names."""
+
+    @pytest.mark.parametrize("attr, name", [
+        (attr, name) for attr, row in _RULE_ROWS for name in row.fields])
+    def test_each_field_fills_its_attribute(self, attr, name):
+        value, expected = _sample(attr, BIB_FIELDS[attr])
+        record, diags = normalize(RawEntry(_entry_type_reading(attr), "k", {name: value}))
+        assert getattr(record, attr) == expected
+        assert [d for d in diags if d.code in ("unknown-value", "unparsed-date")] == []
+
+    @pytest.mark.parametrize("attr, first, later", [
+        (attr, first, later) for attr, row in _RULE_ROWS
+        for i, first in enumerate(row.fields) for later in row.fields[i + 1:]])
+    def test_first_non_empty_field_wins(self, attr, first, later):
+        value, expected = _sample(attr, BIB_FIELDS[attr])
+        entry_type = _entry_type_reading(attr)
+        # the entry names the later field first: the row's order decides
+        record, diags = normalize(RawEntry(entry_type, "k", {later: "Z", first: value}))
+        assert getattr(record, attr) == expected
+        assert [(d.code, d.message) for d in diags if d.code == "shadowed-field"] == [
+            ("shadowed-field", f"field '{later}' ignored: '{first}' is used instead")]
+        for empty in ("", " {} "):
+            record, diags = normalize(RawEntry(entry_type, "k", {first: empty, later: value}))
+            assert getattr(record, attr) == expected
+            assert not any(d.code == "shadowed-field" for d in diags)
+
+    def test_every_field_is_named_in_the_readme(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        fields = UNPRINTED_FIELDS.union(*(row.fields for row in BIB_FIELDS.values()))
+        assert len(fields) >= 57
+        assert sorted(name for name in fields if f"`{name}`" not in readme) == []

@@ -321,7 +321,7 @@ def _rich_values():
             values[name] = PartialDate(2001, 2, 3)
     # one supplement or part at most, so that the issue part is read
     values.update(volume_supplement="", issue_supplement="", volume_part="",
-                  date_separator=".", raw_entry_type="")
+                  date_separator=".")
     return values
 
 
@@ -333,7 +333,7 @@ class TestTemplateReads:
         template = TEMPLATES[entry_type]
         assert set(template.requires) <= set(template.reads)
         assert template.fields == UNPRINTED_FIELDS.union(
-            *(BIB_FIELDS[name] for name in template.reads))
+            *(BIB_FIELDS[name].fields for name in template.reads))
         seen = set()
         logged, values = read_logger(seen), _rich_values()
         everyone = tuple(ContributorList((person("Smith", "J"),), role=role)
@@ -346,7 +346,7 @@ class TestTemplateReads:
             **values, "in_press": True, "continuous_pagination": True}))
         assert set(template.reads) <= seen
         assert seen <= set(template.reads) | {
-            "key", "entry_type", "raw_entry_type", "contributors"}
+            "key", "entry_type", "contributors"}
 
 
 FORBIDDEN = ("  ", " .", "..")
