@@ -12,7 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from vanref import (  # noqa: E402
-    normalize_database, parse_database, render_reference, resolve,
+    normalize, parse_database, render_reference, resolve,
     scan_citations,
 )
 
@@ -26,7 +26,7 @@ def main() -> int:
     args = parser.parse_args()
 
     db = parse_database((DATA / "vancouver.bib").read_text(encoding="utf-8"))
-    records, _ = normalize_database(db.entries)
+    records = [normalize(entry)[0] for entry in db.entries]
     index = scan_citations((DATA / "manuscript.tex").read_text(encoding="utf-8"))
     pairs, missing = resolve(index.keys, records)
     expected = (DATA / "expected_refs.txt").read_text(encoding="utf-8").splitlines()

@@ -20,7 +20,6 @@ from .model import (
     initials,
     map_entry_type,
     normalize,
-    normalize_database,
     parse_date,
     parse_names,
     parse_pages,
@@ -67,7 +66,6 @@ __all__ = [
     "initials",
     "map_entry_type",
     "normalize",
-    "normalize_database",
     "parse_database",
     "parse_date",
     "parse_names",

@@ -3,8 +3,8 @@
 The grammar accepted is ``@type{key, name = value, ...}`` with brace-,
 quote- or bare-delimited values, ``#`` concatenation, ``@string`` macros,
 ``@comment``/``@preamble`` blocks and ``%``-to-end-of-line comments between
-entries.  Values are flattened to plain strings at parse time; delimiter
-style never reaches later stages.
+entries.  Values come back verbatim, whitespace included, with delimiters
+removed and macros expanded; ``strip_latex`` cleans a value where it is read.
 """
 
 from __future__ import annotations
@@ -103,10 +103,6 @@ def _skip_junk(text: str, i: int) -> int:
 
 _BRACE_JUMP_RE = re.compile(r"[{}]")
 _QUOTE_JUMP_RE = re.compile(r'["{}]')
-
-
-def _flatten(value: str) -> str:
-    return " ".join(value.split())
 
 
 class _Parser:
@@ -209,8 +205,6 @@ class _Parser:
             if value is None:
                 value, i = self._parse_value(i)
                 i = _skip_space(text, i)
-            else:
-                value = _flatten(value)
             name = name.lower()
             if name in fields:
                 self.db.diagnostics.append(warning(
@@ -239,7 +233,7 @@ class _Parser:
         while m := _HASH_RE.match(self.text, i):
             piece, i = self._parse_piece(m.end())
             value += piece
-        return _flatten(value), i
+        return value, i
 
     def _parse_piece(self, i: int) -> tuple[str, int]:
         text = self.text
@@ -355,18 +349,24 @@ def serialize_database(entries: list[RawEntry]) -> str:
     return "\n\n".join(serialize_entry(e) for e in entries) + "\n"
 
 
+def _flatten(value: str) -> str:
+    return " ".join(value.split())
+
+
 _CONTROL_WORD_RE = re.compile(r"[A-Za-z]+\*?")
 _ESCAPES = {"&": "&", "%": "%", "_": "_", "#": "#", "$": "$", "{": "{", "}": "}"}
 _SPECIAL_RE = re.compile(r"[\\${}]|--+")
 
 
 def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
-    """Reduce a raw field value to plain text.
+    """Reduce a raw field value to plain text, whitespace runs collapsed.
 
     Handles the escape list (``\\&`` and friends), ``--`` outside math,
     and brace groups, which are unwrapped with their content preserved.
-    Unknown control sequences are dropped; each adds a diagnostic when a
-    sink list is supplied.  Never fails.
+    ``\\\\`` and a control space (``\\`` before whitespace) become a space.
+    Unknown control sequences are dropped, a control word with the
+    whitespace after it as in TeX; each adds a diagnostic when a sink list
+    is supplied.  Never fails.
     """
     m = _SPECIAL_RE.search(value)
     if m is None:
@@ -385,7 +385,7 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
             if nxt in _ESCAPES:
                 out.append(_ESCAPES[nxt])
                 i += 1
-            elif nxt == "\\":
+            elif nxt == "\\" or nxt.isspace():
                 out.append(" ")
                 i += 1
             elif word := _CONTROL_WORD_RE.match(value, i):
@@ -395,9 +395,7 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
                         f"dropped control sequence '\\{word.group(0)}'",
                         j,
                     ))
-                i = word.end()
-                if value.startswith(" ", i):  # TeX eats the space after a word
-                    i += 1
+                i = _skip_space(value, word.end())
             else:
                 if diagnostics is not None:
                     diagnostics.append(warning(

@@ -153,15 +153,16 @@ def _markdown_escape(text: str) -> str:
 
 def _write_lines(lines: list[str], out_path: str | None, stdout, stderr) -> bool:
     body = "".join(line + "\n" for line in lines)
-    if out_path is None:
-        stdout.write(body)
-        return True
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(body)
+        if out_path is None:
+            stdout.write(body)
+        else:
+            data = body.encode("utf-8")  # before the file is opened, so no empty file is left
+            with open(out_path, "wb") as handle:
+                handle.write(data)
         return True
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"{out_path}: cannot write: {exc}", file=stderr)
+    except (OSError, UnicodeEncodeError) as exc:
+        print(f"{out_path or '<stdout>'}: cannot write: {exc}", file=stderr)
         return False
 
 

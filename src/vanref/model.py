@@ -509,13 +509,12 @@ def map_entry_type(raw: RawEntry,
     """Total mapping from the raw ``@type`` (plus web/medium markers)."""
     base = _TYPE_MAP.get(raw.entry_type)
     has_url = bool(raw.fields.get("url", "").strip())
-    medium = raw.fields.get("medium", "").strip()
     if base is EntryType.ARTICLE and has_url:
         return EntryType.WEBJOURNAL
     if base is EntryType.BOOK:
         if has_url:
             return EntryType.WEBMONOGRAPH
-        if medium:
+        if medium := strip_latex(raw.fields.get("medium", "")):
             if "cd-rom" in medium.lower():
                 return EntryType.CDROM
             return EntryType.AUDIOVISUAL
@@ -546,16 +545,16 @@ def _in_press(text: str, diags: list[Diagnostic]) -> bool:
 
 def _continuous(text: str, diags: list[Diagnostic]) -> bool:
     value = text.lower()
-    if value and value != "continuous":
+    if value != "continuous":
         diags.append(warning("unknown-value", f"pagination value '{value}' ignored"))
     return value == "continuous"
 
 
 def _date_separator(text: str, diags: list[Diagnostic]) -> str:
-    if text and text not in (";", "."):
+    if text not in (";", "."):
         diags.append(warning("unknown-value", f"datesep '{text}' ignored; using ';'"))
         return ";"
-    return text or ";"
+    return text
 
 
 class FieldRow(NamedTuple):
@@ -568,8 +567,9 @@ class FieldRow(NamedTuple):
 
 
 # The one map from ``.bib`` fields to record attributes and roles.  The roles
-# are read by ``parse_names`` in ``Role`` order and ``date`` by hand; ``normalize``
-# reads every other row by one rule (see ``_read``).
+# are read by ``parse_names`` in ``Role`` order; ``normalize`` reads every
+# other row by one rule (see ``_read``), ``date`` as ``date``, else ``year``
+# with ``month`` and ``day``.
 BIB_FIELDS: dict[str | Role, FieldRow] = {
     **{role: FieldRow((name,)) for name, role in _ROLE_FIELDS},
     "title": FieldRow(("title",)),
@@ -581,7 +581,7 @@ BIB_FIELDS: dict[str | Role, FieldRow] = {
     "issue_supplement": FieldRow(("issuesuppl",)),
     "volume_part": FieldRow(("volpart",)),
     "issue_part": FieldRow(("issuepart",)),
-    "pages": FieldRow(("pages",), lambda text, _: parse_pages(text) if text else None),
+    "pages": FieldRow(("pages",), lambda text, _: parse_pages(text)),
     "date": FieldRow(("date", "year", "month", "day")),
     "date_epub": FieldRow(("epub",), parse_date),
     "place": FieldRow(("address",)),
@@ -641,6 +641,8 @@ _IN_PRESS_HIDES = ("volume", "number", "issue", "volsuppl", "issuesuppl",
 _QUALIFIERS = {"volsuppl": "volume", "volpart": "volume",
                "issuesuppl": "issue", "issuepart": "issue"}
 
+# The date row's winner: ``month`` and ``day`` are read only with ``year``.
+_DATE_OR_YEAR = FieldRow(BIB_FIELDS["date"].fields[:2])
 _DAY_RE = re.compile(r"(\d{1,2})(?:-(\d{1,2}))?")
 
 
@@ -649,9 +651,11 @@ def _shadowed(name: str, winner: str) -> Diagnostic:
                    f"field '{name}' ignored: '{winner}' is used instead")
 
 
-def _read(row: FieldRow, fields: dict[str, str], diags: list[Diagnostic]) -> object:
-    """The one rule: the first field with non-empty text is read, and each
-    later field present warns ``shadowed-field``; all empty read as ``""``."""
+def _read(row: FieldRow, fields: dict[str, str],
+          diags: list[Diagnostic]) -> tuple[str, str]:
+    """The one rule: the first field whose cleaned text is non-empty wins, and
+    each later field present warns ``shadowed-field``.  Returns the winner
+    and its text, or two empty strings when every field is empty or absent."""
     text = winner = ""
     for name in row.fields:
         if name in fields:
@@ -661,22 +665,22 @@ def _read(row: FieldRow, fields: dict[str, str], diags: list[Diagnostic]) -> obj
                 text = row.clean(fields[name], diags)
                 if text:
                     winner = name
-    return text if row.read is None else row.read(text, diags)
+    return winner, text
 
 
 def _unprinted_qualifiers(values: dict[str, object],
-                          fields: dict[str, str]) -> list[Diagnostic]:
+                          issue_field: str) -> list[Diagnostic]:
     """Warn for each supplement or part the journal locator leaves out.
 
     The locator prints one: the first whose volume or issue is set.  A
     volume's supplement or part also stands in for the issue.  Continuous
     pagination drops the issue with its supplement and part, as asked.
+    The warnings name the issue by ``issue_field``: ``number`` or ``issue``.
     """
     get = values.get
     if get("volume_supplement") and get("issue_supplement"):
         return []  # rendering fails with ConflictingLocator
     issue, continuous = get("issue"), get("continuous_pagination")
-    issue_field = "number" if not issue or strip_latex(fields.get("number", "")) else "issue"
     hosts = {"volume": get("volume"), "issue": issue}
     diags = []
     winner = ""
@@ -700,13 +704,14 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     """Build a typed record from a raw entry, collecting diagnostics.
 
     Each row of :data:`BIB_FIELDS` is read by one rule, winner first: the
-    first of its fields whose text is non-empty is read, and each later
-    field present warns ``shadowed-field``.  Rows are read in the order the
-    entry first names one of their fields; a row with none keeps the
-    record's default.  The contributor roles (in ``Role`` order) and
-    ``date`` (``date``, else ``year``/``month``/``day``) are read by hand,
-    and in reports and patents ``number`` is the document number.  Every
-    diagnostic points at the entry's ``@`` (``raw.span[0]``).
+    first of its fields whose cleaned text is non-empty is read, and each
+    later field present warns ``shadowed-field``.  A field whose cleaned
+    text is empty counts as absent, so a row with no non-empty field keeps
+    the record's default; only ``inpress`` reads its empty text, as "in
+    press".  Rows are read in the order the entry first names one of their
+    fields, ``date`` last.  The contributor roles are read in ``Role``
+    order, and in reports and patents ``number`` is the document number.
+    Every diagnostic points at the entry's ``@`` (``raw.span[0]``).
     """
     diags: list[Diagnostic] = []
     f = raw.fields
@@ -730,27 +735,29 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
 
     rows = _DOCUMENT_ROWS_BY_FIELD if entry_type in _DOCUMENT_TYPES else _ROWS_BY_FIELD
     values: dict[str, object] = {}
+    winners: dict[str, str] = {}  # each row read, to the field that won it
     for name in f:
         if name in rows:
             attr, row = rows[name]
-            if attr not in values:
-                values[attr] = _read(row, f, diags)
+            if attr not in winners:
+                winners[attr], text = _read(row, f, diags)
+                if text or attr == "in_press":
+                    values[attr] = text if row.read is None else row.read(text, diags)
 
+    date_field, text = _read(_DATE_OR_YEAR, f, diags)
     date = None
-    if "date" in f:
-        date = parse_date(strip_latex(f["date"], diags), diags)
-        diags.extend(_shadowed(name, "date")
-                     for name in ("year", "month", "day") if name in f)
-    elif "year" in f:
-        year_text = strip_latex(f["year"], diags)
+    if date_field == "date":
+        diags.extend(_shadowed(name, "date") for name in ("month", "day") if name in f)
+        date = parse_date(text, diags)
+    elif date_field:  # the year, with its month and day
         month = day = day_end = None
-        if "month" in f:
-            month_text = strip_latex(f["month"], diags)
+        month_text = strip_latex(f["month"], diags) if "month" in f else ""
+        if month_text:
             month = parse_month(month_text)
             if month is None:
                 diags.append(warning("unparsed-date", f"month '{month_text}' ignored"))
-        if "day" in f:
-            day_text = strip_latex(f["day"], diags)
+        day_text = strip_latex(f["day"], diags) if "day" in f else ""
+        if day_text:
             m = _DAY_RE.fullmatch(day_text)
             if m and month is not None:
                 day = int(m.group(1))
@@ -759,13 +766,13 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                 diags.append(warning("unparsed-date", f"day '{day_text}' ignored"))
         try:
             date = PartialDate(
-                year=int(year_text) if year_text.isdigit() else year_text,
+                year=int(text) if text.isdigit() else text,
                 month=month, day=day, day_end=day_end)
         except ValueError:
             diags.append(warning(
                 "unparsed-date", f"date fields kept verbatim for '{raw.key}'"))
-            date = PartialDate(year=year_text, raw=year_text)
-    if date is None:
+            date = PartialDate(year=text, raw=text)
+    else:
         diags.append(warning(
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))
 
@@ -773,23 +780,14 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         if values.get("in_press"):
             diags.extend(_shadowed(name, "inpress")
                          for name in _IN_PRESS_HIDES if name in f)
-            if "date" in f and date.month:
+            if date_field == "date" and date.month:
                 diags.append(warning(
                     "shadowed-field",
                     "month and day of field 'date' ignored: 'inpress' is used instead"))
         elif not f.keys().isdisjoint(_QUALIFIERS):
-            diags.extend(_unprinted_qualifiers(values, f))
+            diags.extend(_unprinted_qualifiers(values, winners.get("issue") or "number"))
 
     record = BibRecord(key=raw.key, entry_type=entry_type,
                        contributors=tuple(contributors), date=date, **values)
     return record, [d._replace(offset=raw.span[0]) for d in diags]
 
-
-def normalize_database(entries: list[RawEntry]) -> tuple[list[BibRecord], list[Diagnostic]]:
-    records: list[BibRecord] = []
-    diags: list[Diagnostic] = []
-    for raw in entries:
-        record, entry_diags = normalize(raw)
-        records.append(record)
-        diags.extend(entry_diags)
-    return records, diags

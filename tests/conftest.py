@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from vanref import normalize_database, parse_database
+from vanref import normalize, parse_database
 
 # A longer run of every property, for CI: ``--hypothesis-profile=ci``.
 settings.register_profile("ci", max_examples=2000, deadline=None)
@@ -38,6 +38,9 @@ def corpus_db(corpus_bib_text):
 
 @pytest.fixture(scope="session")
 def corpus_records(corpus_db):
-    records, diagnostics = normalize_database(corpus_db.entries)
-    assert not diagnostics
-    return {record.key: record for record in records}
+    records = {}
+    for entry in corpus_db.entries:
+        record, diagnostics = normalize(entry)
+        assert not diagnostics
+        records[record.key] = record
+    return records

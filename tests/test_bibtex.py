@@ -210,7 +210,7 @@ class _ParserReference:
                     _skip_space_reference(self.text, j + 1))
                 value += piece
             else:
-                return _WS_RUN_RE.sub(" ", value).strip(), i
+                return value, i
 
     def _parse_piece(self, i):
         text = self.text
@@ -264,7 +264,7 @@ def strip_latex_reference(value, diagnostics=None):
             if nxt in _ESCAPES:
                 out.append(_ESCAPES[nxt])
                 i += 2
-            elif nxt == "\\":
+            elif nxt == "\\" or nxt.isspace():
                 out.append(" ")
                 i += 2
             elif m := _CONTROL_WORD_RE.match(value, i + 1):
@@ -275,7 +275,7 @@ def strip_latex_reference(value, diagnostics=None):
                         i,
                     ))
                 i = m.end()
-                if i < n and value[i] == " ":
+                while i < n and value[i].isspace():
                     i += 1
             else:
                 if diagnostics is not None:
@@ -465,9 +465,9 @@ class TestParseDatabase:
         db = parse_database("@misc(k, t={v})")
         assert db.entries[0].key == "k"
 
-    def test_whitespace_in_values_collapses(self):
-        db = parse_database("@misc{k, t={a\n   b\tc}}")
-        assert db.entries[0].fields["t"] == "a b c"
+    def test_whitespace_in_values_is_kept_verbatim(self):
+        db = parse_database('@misc{k, t={ a\n   b\tc }, u = " x" # "\ty "}')
+        assert db.entries[0].fields == {"t": " a\n   b\tc ", "u": " x\ty "}
 
     @given(st.text(max_size=200))
     def test_never_raises_on_arbitrary_text(self, text):
@@ -583,6 +583,12 @@ class TestStripLatex:
     def test_double_dash_in_math_is_kept(self):
         assert strip_latex("$a--b$") == "$a--b$"
 
+    def test_whitespace_after_a_control_word_is_skipped(self):
+        assert strip_latex("a\\foo \n\t b") == "ab"
+
+    def test_control_space_is_a_space(self):
+        assert strip_latex("Dr.\\ Smith and Dr.\\\nRoe") == "Dr. Smith and Dr. Roe"
+
     def test_unknown_control_sequence_dropped_with_diagnostic(self):
         sink = []
         assert strip_latex(r"\textbf{Bold} text", sink) == "Bold text"
@@ -602,6 +608,7 @@ class TestStripLatex:
     @example("a---b")
     @example("\\foo bar")
     @example("a\\b c")
+    @example("a\\foo\n\t b\\\nc")
     def test_jumping_scan_matches_per_character_reference(self, value):
         assert _stripped(strip_latex, value) == \
             _stripped(strip_latex_reference, value)

@@ -190,6 +190,24 @@ class TestFormat:
         assert f"{target}: cannot write" in err
         assert capsys.readouterr().err == ""
 
+    def test_unencodable_output_reports_cannot_write(self, tmp_path):
+        # an undecodable byte in argv reaches Python as a lone surrogate
+        target = tmp_path / "refs.txt"
+        code, out, err = run_format(
+            bib_paths=[BIB], keys=["rose.huerbin.ea:regulation"],
+            max_authors=1, etal_text="\udcff", out_path=str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{target}: cannot write: ")
+        assert not target.exists()
+        # a strict UTF-8 stdout fails the same way, with nothing printed
+        result = subprocess.run(
+            [sys.executable, "-m", "vanref", "format", "--bib", BIB,
+             "--keys", "rose.huerbin.ea:regulation", "--max-authors", "1",
+             "--etal-text", "\udcff"], capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC_DIR), "PYTHONIOENCODING": "utf-8"})
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.startswith(b"<stdout>: cannot write: ")
+
     def test_max_authors_override(self):
         code, out, _ = run_format(
             bib_paths=[BIB], keys=["rose.huerbin.ea:regulation"],
@@ -337,6 +355,23 @@ class TestCheck:
             "instead [shadowed-field]\n"
             f"{bib}:3:1: warning: field 'month' ignored: 'date' is used "
             "instead [shadowed-field]\n")
+
+    def test_empty_field_counts_as_absent(self, tmp_path):
+        bib = tmp_path / "empty.bib"
+        bib.write_text(
+            "@article{a, title={T}, journal={J}, date={}, year={2001}}\n"
+            "@article{b, title={T}, journal={J}, year={2001}, epub={}}\n"
+            "@article{c, title={T}, journal={J}, year={2001}, url={http://x},\n"
+            "  updated={}, lastchecked={ }}\n"
+            "@article{d, title={T}, journal={J}, year={}}\n", encoding="utf-8")
+        code, out, err = run_format(bib_paths=[str(bib)])
+        assert code == 0
+        assert out == ("1. T. J. 2001.\n"
+                       "2. T. J. 2001.\n"
+                       "3. T. J. 2001. Available from: http://x\n"
+                       "4. T. J.\n")
+        assert err == (f"{bib}:5:1: warning: entry 'd' has no date; "
+                       "year skipped [missing-date]\n")
 
     def test_unknown_field_means_never_printed(self, tmp_path):
         bib = tmp_path / "probes.bib"

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from vanref.bibtex import RawEntry, strip_latex
+from vanref.bibtex import RawEntry, parse_database, strip_latex
 from vanref.diagnostics import error, warning
 from vanref.model import (
     BIB_FIELDS,
@@ -174,7 +174,8 @@ _NAME_ALPHABET = " ,{}aAnNdDoOtThHeErRsSvV\\\t\n\x1c\xa0-."
 
 # Reference for ``normalize``: the earlier version, which probed every field
 # name it knows through ``plain()`` instead of walking the entry's fields.
-# Every field but ``url`` gets the same LaTeX cleanup.
+# Every field but ``url`` gets the same LaTeX cleanup, and a field whose
+# cleaned text is empty counts as absent, except ``inpress``.
 
 def normalize_reference(raw):
     diags = []
@@ -187,7 +188,8 @@ def normalize_reference(raw):
         return " ".join(f[name].split()) if name in f else ""
 
     def date_of(name):
-        return parse_date(plain(name), diags) if name in f else None
+        text = plain(name)
+        return parse_date(text, diags) if text else None
 
     contributors = []
     for field_name, role in _ROLE_FIELDS:
@@ -207,20 +209,21 @@ def normalize_reference(raw):
             "shadowed-field", f"field 'author' ignored: '{named[0]}' is used instead"))
 
     date = date_of("date")
+    date_wins = date is not None
     for name in ("year", "month", "day"):
-        if date is not None and name in f:
+        if date_wins and name in f:
             diags.append(warning(
                 "shadowed-field", f"field '{name}' ignored: 'date' is used instead"))
-    if date is None and "year" in f:
-        year_text = plain("year")
+    year_text = "" if date_wins else plain("year")
+    if year_text:
         month_text = plain("month")
-        month = parse_month(month_text) if "month" in f else None
-        if "month" in f and month is None:
+        month = parse_month(month_text) if month_text else None
+        if month_text and month is None:
             diags.append(warning(
                 "unparsed-date", f"month '{month_text}' ignored"))
         day = day_end = None
-        if "day" in f:
-            day_text = plain("day")
+        day_text = plain("day")
+        if day_text:
             m = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", day_text)
             if m and month is not None:
                 day = int(m.group(1))
@@ -287,7 +290,7 @@ def normalize_reference(raw):
         diags.extend(warning(
             "shadowed-field", f"field '{name}' ignored: 'inpress' is used instead")
             for name in hidden if name in f)
-        if "date" in f and date.month is not None:
+        if date_wins and date.month is not None:
             diags.append(warning(
                 "shadowed-field",
                 "month and day of field 'date' ignored: 'inpress' is used instead"))
@@ -653,6 +656,11 @@ def raw(entry_type, **fields):
     return RawEntry(entry_type, "k", {k: str(v) for k, v in fields.items()})
 
 
+def _widened(value):
+    """``value`` with each whitespace run between a newline and a tab."""
+    return re.sub(r"\s+", lambda m: "\n" + m.group(0) + "\t", value)
+
+
 class TestMapEntryType:
     def test_patent(self):
         assert map_entry_type(raw("patent")) is EntryType.PATENT
@@ -670,6 +678,11 @@ class TestMapEntryType:
 
     def test_book_with_cdrom_medium(self):
         assert map_entry_type(raw("book", medium="CD-ROM")) is EntryType.CDROM
+
+    def test_book_with_empty_medium_stays_a_book(self):
+        for medium in ("", " {} ", "{\\em}"):
+            assert map_entry_type(raw("book", medium=medium)) is EntryType.BOOK
+        assert map_entry_type(raw("book", medium="{CD--ROM}")) is EntryType.CDROM
 
     def test_unknown_type_is_misc_with_diagnostic(self):
         sink = []
@@ -728,6 +741,34 @@ class TestNormalize:
         assert record.date.year == "in press"
         assert record.url == "http://x/a b"
         assert record.cited.raw == "some day"
+
+    def test_whitespace_in_values_collapses(self):
+        [entry] = parse_database(
+            "@misc{k, title={a\n   b\tc}, url = {http://x/a\n\tb },\n"
+            '  year = " 2001\t", author={Smith,\n\tJ and {A\n  Group}}}').entries
+        record, diags = normalize(entry)
+        assert (record.title, record.url, record.date) == (
+            "a b c", "http://x/a b", PartialDate(2001))
+        assert record.contributors[0].names == (
+            PersonName(family="Smith", given="J"), PersonName(literal="A Group"))
+        assert diags == []
+
+    def test_empty_field_counts_as_absent(self):
+        # as BibTeX's empty$: a field holding only whitespace is missing
+        record, diags = normalize(raw("article", title="t", journal="j",
+                                      date=" {} ", year="2001", month="",
+                                      day="\n", pages="{}"))
+        assert (record.date, record.pages, diags) == (PartialDate(2001), None, [])
+        record, diags = normalize(raw("article", title="t", journal="j",
+                                      year="2001", epub="", updated="{}",
+                                      lastchecked=" ", conferencedate=""))
+        assert (record.date_epub, record.updated, record.cited,
+                record.conference_date, diags) == (None, None, None, None, [])
+        record, diags = normalize(raw("article", title="t", journal="j",
+                                      year=" ", month="Jul"))
+        assert record.date is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("missing-date", "entry 'k' has no date; year skipped")]
 
     def test_every_diagnostic_points_at_the_entry(self):
         entry = RawEntry("artwork", "k", {
@@ -846,6 +887,20 @@ class TestNormalize:
         assert record.date == PartialDate(2001)
         assert [(d.code, d.message) for d in diags] == [
             ("unparsed-date", message)]
+
+    @given(_raw_entries())
+    @example(RawEntry("article", "k", {
+        "author": "van  Beethoven,\tLudwig and {A  Group}", "title": "a\\foo b\\ c",
+        "year": " 2002 ", "month": "Jul ", "day": "12 - 14", "pages": "284 - 7",
+        "url": " http://x/a  b", "medium": " cd-rom ", "inpress": " ",
+        "epub": "2002 Jul  25"}))
+    def test_widened_whitespace_normalizes_alike(self, entry):
+        widened = entry._replace(fields={name: _widened(value)
+                                         for name, value in entry.fields.items()})
+        record, diags = normalize(entry)
+        again, again_diags = normalize(widened)
+        assert again == record
+        assert again_diags == diags
 
     def test_bad_name_field_is_error_not_crash(self):
         record, diags = normalize(
