@@ -391,7 +391,7 @@ _MONTH_NUMBERS = {name: number for number, (abbreviation, full) in
 _DATE_RE = re.compile(
     r"(c?)(\d{4})"
     r"(?:\s+([A-Za-z]+)"
-    r"(?:\s+(\d{1,2})(?:-(\d{1,2}))?)?)?"
+    r"(?:\s+(\d{1,2})(?:\s*-\s*(\d{1,2}))?)?)?"
     r"(\s*-)?"
 )
 
@@ -643,7 +643,7 @@ _QUALIFIERS = {"volsuppl": "volume", "volpart": "volume",
 
 # The date row's winner: ``month`` and ``day`` are read only with ``year``.
 _DATE_OR_YEAR = FieldRow(BIB_FIELDS["date"].fields[:2])
-_DAY_RE = re.compile(r"(\d{1,2})(?:-(\d{1,2}))?")
+_DAY_RE = re.compile(r"(\d{1,2})(?:\s*-\s*(\d{1,2}))?")
 
 
 def _shadowed(name: str, winner: str) -> Diagnostic:

@@ -194,8 +194,7 @@ def _primary_contributors(rec: BibRecord, style: StyleConfig,
     return format_contributors(lists, style, affiliation=affiliation)
 
 
-def _bracketed_title(rec: BibRecord, bracket: str) -> str:
-    title = rec.title
+def _bracketed_title(title: str, bracket: str) -> str:
     if bracket:
         title += f" [{bracket}]"
     return _sentence(title)
@@ -292,7 +291,7 @@ def _render_article(rec: BibRecord, style: StyleConfig) -> str:
         raise MissingRequiredField(rec.entry_type, "journal")
     segments = [
         _primary_contributors(rec, style),
-        _bracketed_title(rec, rec.article_type),
+        _bracketed_title(rec.title, rec.article_type),
         _sentence(journal),
     ]
     if rec.in_press:
@@ -324,16 +323,6 @@ def _render_article(rec: BibRecord, style: StyleConfig) -> str:
     return _join(segments)
 
 
-def _book_contributors(rec: BibRecord, style: StyleConfig) -> tuple[str, str]:
-    """The primary and the editor credit; editors lead when there is no primary."""
-    primary = rec.lists(Role.AUTHOR, Role.ORGANIZATION, Role.CARTOGRAPHER)
-    editors = rec.lists(Role.EDITOR, Role.COMPILER)
-    if not primary:
-        primary, editors = editors, ()
-    return (format_contributors(primary, style) if primary else "",
-            format_contributors(editors, style) if editors else "")
-
-
 _DEFAULT_BRACKETS = {
     EntryType.DISSERTATION: "dissertation",
     EntryType.MAP: "map",
@@ -342,13 +331,29 @@ _DEFAULT_BRACKETS = {
 
 
 def _render_monograph(rec: BibRecord, style: StyleConfig) -> str:
-    primary, editors = _book_contributors(rec, style)
+    return _monograph(rec, style, rec.title,
+                      rec.lists(Role.AUTHOR, Role.ORGANIZATION, Role.CARTOGRAPHER))
+
+
+def _render_chapter(rec: BibRecord, style: StyleConfig) -> str:
+    """The contribution, then ``In:`` and its book, led by the book's editors."""
+    return _join([_primary_contributors(rec, style), _sentence(rec.title), "In:",
+                  _monograph(rec, style, rec.booktitle, rec.lists(Role.CARTOGRAPHER))])
+
+
+def _monograph(rec: BibRecord, style: StyleConfig, title: str,
+               primary: tuple[ContributorList, ...]) -> str:
+    """A book called ``title`` by ``primary``, then its editor credit; the
+    editors lead when there is no primary."""
+    editors = rec.lists(Role.EDITOR, Role.COMPILER)
+    if not primary:
+        primary, editors = editors, ()
     bracket = rec.medium or _DEFAULT_BRACKETS.get(rec.entry_type, "")
     return _join([
-        primary,
-        _bracketed_title(rec, bracket),
+        format_contributors(primary, style) if primary else "",
+        _bracketed_title(title, bracket),
         _sentence(rec.edition),
-        editors,
+        format_contributors(editors, style) if editors else "",
         _clause(rec.conference_name, _date_text(rec.conference_date),
                 rec.conference_place),
         _imprint(rec, _web_date_block(rec, _date_text(rec.date))),
@@ -356,14 +361,6 @@ def _render_monograph(rec: BibRecord, style: StyleConfig) -> str:
         _clause(rec.defined_term, f"p. {format_pages(rec.pages)}" if rec.pages else ""),
         f"Available from: {rec.url}" if rec.url else "",
     ])
-
-
-def _render_chapter(rec: BibRecord, style: StyleConfig) -> str:
-    """The contribution, then ``In:`` and its book, led by the book's editors."""
-    host = rec._replace(title=rec.booktitle, contributors=rec.lists(
-        Role.EDITOR, Role.COMPILER, Role.CARTOGRAPHER))
-    return _join([_primary_contributors(rec, style), _sentence(rec.title), "In:",
-                  _render_monograph(host, style)])
 
 
 def _render_techreport(rec: BibRecord, style: StyleConfig) -> str:

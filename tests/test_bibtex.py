@@ -310,10 +310,12 @@ def _stripped(strip, value):
 _LATEX_ALPHABET = "\\${}-- aA*&%_#\n\t\xa0"
 
 # Syntax characters, every kind of space the parser treats differently, the
-# block keywords, a month macro, digits and the head of an entry.
+# block keywords, a month macro, an undefined word, digits, the head of an
+# entry and whole plain fields, so that runs of plain fields are common.
 _BIB_TOKENS = (
     list('@{}()",=#% \n\t\xa0\x0b0123456789')
-    + ["article", "string", "comment", "preamble", "jan", "@article{k, t="]
+    + ["article", "string", "comment", "preamble", "jan", "xundef",
+       "@article{k, t=", "@article{k", "{a}", ", t={x}", ", u=jan", ", v=12"]
 )
 
 
@@ -491,6 +493,21 @@ class TestParseDatabase:
     @example('@a{k, t="x {y"}')
     @example('@a(k, t="x)')
     @example('@a{k, t="x\n@a{j, t={y\n@a{i, t="z {v}"}\n@a{h, t={w {v}}}')
+    # a duplicate field and undefined macros inside a run of plain fields
+    @example("@a{k, t=xundef, t={y}, u=yundef, U=jan}")
+    @example("@a{k, t={x}, T=xundef}")
+    # more plain fields than one match takes, then a duplicate after them
+    @example("@a{k" + "".join(f", f{i}={{v{i}}}" for i in range(40)) + ", f3=x}")
+    # a run ended by a quoted value, by '#' and by braces two deep
+    @example('@a{k, t={x}, u=jan, v="y", w={z}}')
+    @example("@a{k, t={x}, u={y} # jan, w={z}}")
+    @example("@a{k, t={x}, u=jan # {y}, w={z}}")
+    @example("@a{k, t={x {y} z}, u={{{y}}}, w={z}}")
+    @example("@a\xa0{\xa0k\xa0,\xa0t\xa0=\xa0{x}\xa0,\xa0u\xa0=\xa012\xa0,\xa0}")
+    @example("@string{a = {b}} @a{k, t=a}")
+    @example("@string{a, t={x}, u=xundef}")
+    @example("@a(k, t={x}, u=jan) @a(j, t={x}}) @a{i, t={x})")
+    @example("@a{k, t={x},} @a{j,} @a{i , t = w ,\n}")
     def test_parser_matches_field_by_field_reference(self, text):
         assert _parsed(parse_database, text) == \
             _parsed(parse_database_reference, text)
@@ -520,6 +537,41 @@ class TestParseDatabase:
         elapsed = time.perf_counter() - started
         [entry] = db.entries
         assert len(entry.fields["t"]) == 2 * depth - 1
+        assert elapsed < 1.0
+
+    def test_long_space_run_in_a_failing_entry_parses_in_linear_time(self):
+        space = " " * 32_000
+        text = "".join(
+            f'@misc{{k{n}, t = {{x}},{space}u{space}={space}"q"{space}#{space}junk{space}z}}\n'
+            for n in range(4))
+        started = time.perf_counter()
+        db = parse_database(text)
+        elapsed = time.perf_counter() - started
+        assert db.entries == []
+        assert [d.code for d in db.diagnostics] == \
+            ["undefined-macro", "malformed-entry"] * 4
+        assert elapsed < 1.0
+
+    def test_long_bare_word_in_a_failing_entry_parses_in_linear_time(self):
+        word = "w" * 32_000
+        text = "".join(f"@misc{{k{n}, t = {word} # {{x}}, u = {word} junk}}\n"
+                       for n in range(4))
+        started = time.perf_counter()
+        db = parse_database(text)
+        elapsed = time.perf_counter() - started
+        assert db.entries == []
+        assert [d.code for d in db.diagnostics] == \
+            ["undefined-macro", "undefined-macro", "malformed-entry"] * 4
+        assert elapsed < 1.0
+
+    def test_entries_ending_in_junk_parse_in_linear_time(self):
+        text = "".join(f"@article{{k{i}, a={{x}}, b={{y {{z}}}}, c=jan, d=12 junk}}\n"
+                       for i in range(8000))
+        started = time.perf_counter()
+        db = parse_database(text)
+        elapsed = time.perf_counter() - started
+        assert db.entries == []
+        assert [d.code for d in db.diagnostics] == ["malformed-entry"] * 8000
         assert elapsed < 1.0
 
     def test_long_comment_run_parses_in_linear_time(self):

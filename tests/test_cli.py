@@ -620,6 +620,20 @@ class TestMonographs:
         assert main(["check", "--bib", str(bib)]) == 0
         assert capsys.readouterr() == ("checked 9 entries: 0 errors, 0 warnings\n", "")
 
+    def test_spaced_day_range_is_read_like_a_spaced_page_range(self, tmp_path, capsys):
+        bib = tmp_path / "spaced.bib"
+        bib.write_text(
+            "@article{r, title={T}, journal={J}, year={2001}, month={Sep},\n"
+            "  day={13 -- 15}}\n"
+            "@article{d, title={T}, journal={J}, date={2001 Sep 13 -- 15}}\n",
+            encoding="utf-8")
+        assert main(["format", "--bib", str(bib), "--all"]) == 0
+        assert capsys.readouterr() == (
+            "1. T. J. 2001 Sep 13-15.\n"
+            "2. T. J. 2001 Sep 13-15.\n", "")
+        assert main(["check", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == ("checked 2 entries: 0 errors, 0 warnings\n", "")
+
     # A minimal valid entry of each of the 18 entry types: a .bib type and
     # the fields it needs beside author, title and year.
     PUBLISHED = {"publisher": "P"}

@@ -224,7 +224,7 @@ def normalize_reference(raw):
         day = day_end = None
         day_text = plain("day")
         if day_text:
-            m = re.fullmatch(r"(\d{1,2})(?:-(\d{1,2}))?", day_text)
+            m = re.fullmatch(r"(\d{1,2})(?:\s*-\s*(\d{1,2}))?", day_text)
             if m and month is not None:
                 day = int(m.group(1))
                 day_end = int(m.group(2)) if m.group(2) else None
@@ -571,8 +571,10 @@ class TestParseDate:
         assert (d.year, d.month, d.day) == (2002, 7, 25)
 
     def test_day_range(self):
-        d = parse_date("2001 Sep 13-15")
-        assert (d.day, d.day_end) == (13, 15)
+        for text in ("2001 Sep 13-15", "2001 Sep 13 - 15"):
+            d = parse_date(text)
+            assert (d.day, d.day_end, d.open_ended) == (13, 15, False)
+        assert parse_date("2001 Sep 13 -").open_ended
 
     def test_year_only(self):
         assert parse_date("2002").year == 2002

@@ -475,3 +475,35 @@ class TestNormalizeRenderPipelineFuzz:
         except RenderError:
             return
         assert_clean_punctuation(text)
+
+
+class TestChapterHost:
+    @given(
+        st.sampled_from(["incollection", "inproceedings"]),
+        st.dictionaries(st.sampled_from(_FIELD_NAMES), _VALUE_STRATEGY,
+                        max_size=10),
+    )
+    def test_host_renders_as_a_book_led_by_its_editors(self, entry_type, fields):
+        """A chapter is its contribution, ``In:``, and then its host: the
+        same record rendered as a book titled by ``booktitle`` and credited
+        to the chapter's editors, compilers and cartographers alone."""
+        from vanref.bibtex import RawEntry
+        from vanref.model import normalize
+        from vanref.render import RenderError, _sentence
+
+        record, _ = normalize(RawEntry(
+            entry_type, "k", {"title": "aT2", "booktitle": "aB2", **fields}))
+        host = record._replace(
+            entry_type=EntryType.BOOK, title=record.booktitle,
+            contributors=record.lists(Role.EDITOR, Role.COMPILER, Role.CARTOGRAPHER))
+        people = record.lists(Role.AUTHOR, Role.ORGANIZATION)
+        try:
+            book = render_reference(host)
+        except (RenderError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                render_reference(record)
+            return
+        expected = " ".join(filter(None, [
+            format_contributors(people) if people else "",
+            _sentence(record.title), "In:", book]))
+        assert render_reference(record) == expected
