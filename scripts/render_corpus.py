@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Render the bundled sample database against its manuscript and report
-any line that drifts from the frozen expected output.
+"""Format the bundled sample database against its manuscript, as
+``vanref format`` does, and report any line that drifts from the frozen
+expected output.  Diagnostics are passed on to stderr; the exit code is 1
+when a line drifts, the command fails or it reports any diagnostic.
 
 Usage: python scripts/render_corpus.py [--diff-only]
 """
 
 import argparse
+import io
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from vanref import (  # noqa: E402
-    normalize, parse_database, render_reference, resolve,
-    scan_citations,
-)
+from vanref.cli import RunConfig, cmd_format  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 
@@ -25,26 +26,26 @@ def main() -> int:
                         help="print only lines that differ from expected")
     args = parser.parse_args()
 
-    db = parse_database((DATA / "vancouver.bib").read_text(encoding="utf-8"))
-    records = [normalize(entry)[0] for entry in db.entries]
-    index = scan_citations((DATA / "manuscript.tex").read_text(encoding="utf-8"))
-    pairs, missing = resolve(index.keys, records)
+    out, err = io.StringIO(), io.StringIO()
+    config = RunConfig(bib_paths=[str(DATA / "vancouver.bib")],
+                       tex_path=str(DATA / "manuscript.tex"))
+    code = cmd_format(config, stdout=out, stderr=err)
+    got = out.getvalue().splitlines()
     expected = (DATA / "expected_refs.txt").read_text(encoding="utf-8").splitlines()
 
     drifted = 0
-    for (number, record), want in zip(pairs, expected):
-        got = render_reference(record)
-        if got != want:
+    for number, (line, want) in enumerate(zip_longest(got, expected), start=1):
+        want = None if want is None else f"{number}. {want}"
+        if line != want:
             drifted += 1
-            print(f"!! {number}. {record.key}")
-            print(f"   got : {got}")
+            print(f"!! {number}.")
+            print(f"   got : {line}")
             print(f"   want: {want}")
         elif not args.diff_only:
-            print(f"{number}. {got}")
-    if missing:
-        print(f"missing keys: {missing}", file=sys.stderr)
-    print(f"\n{len(pairs)} references, {drifted} drifted", file=sys.stderr)
-    return 1 if drifted or missing else 0
+            print(line)
+    sys.stderr.write(err.getvalue())
+    print(f"\n{len(got)} references, {drifted} drifted", file=sys.stderr)
+    return 1 if drifted or code or err.getvalue() else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ quote- or bare-delimited values, ``#`` concatenation, ``@string`` macros,
 entries.  Values come back verbatim, whitespace included, with delimiters
 removed and macros expanded; ``strip_latex`` cleans a value where it is read.
 
-Most entries are read by one regex match: ``_ENTRY_RE`` takes the entry's
+Most entries are read by one regex match: ``_ENTRY`` takes the entry's
 head and its leading run of plain fields (``name = {value}`` with braces at
 most one level deep, or ``name = word``) and builds the field dict from its
 groups.  Recursive descent reads everything else from where the match
@@ -78,7 +78,9 @@ _PLAIN_FIELD = (
     + "(?!" + _SPACE + "#)" + _SPACE
 )
 _PLAIN_RUN = 12  # fields per match; the rest go through the general loop
-_ENTRY_RE = re.compile(
+# Compiled by each ``parse_database`` call, which re's cache makes one
+# lookup after the first, so that importing vanref does not pay for it.
+_ENTRY = (
     "@" + _SPACE + "(" + _TYPE_RE.pattern + ")" + _SPACE
     + r"(?:\{" + _SPACE + "(" + _KEY_BRACE_RE.pattern + ")"
     + r"|\(" + _SPACE + "(" + _KEY_PAREN_RE.pattern + "))" + _SPACE
@@ -144,6 +146,7 @@ class _Parser:
 
     def __init__(self, text: str, macros: dict[str, str] | None = None):
         self.text = text
+        self._match_entry = re.compile(_ENTRY).match
         self.db = Database([], {**MONTH_MACROS, **(macros or {})}, [])
         self._seen_keys: set[str] = set()
         # offsets of the '{'s that are never closed, from the delimiter of
@@ -172,7 +175,7 @@ class _Parser:
     # -- block-level parsing
 
     def _parse_block(self, at: int) -> int:
-        m = _ENTRY_RE.match(self.text, at)
+        m = self._match_entry(self.text, at)
         if m is None or (entry_type := m[1].lower()) in _BLOCKS:
             return self._parse_general(at)
         g = m.groups()

@@ -2,7 +2,8 @@
 
 Records and their parts are immutable named tuples; normalization turns a
 :class:`~vanref.bibtex.RawEntry` into a :class:`BibRecord` plus diagnostics
-and never raises on odd input.
+and never raises on odd input.  Beside :data:`BIB_FIELDS` stand the article
+and patent drop rules, which the renderer applies and ``normalize`` warns for.
 """
 
 from __future__ import annotations
@@ -212,6 +213,13 @@ class BibRecord(NamedTuple):
 
     def lists(self, *roles: Role) -> tuple[ContributorList, ...]:
         return tuple(c for c in self.contributors if c.role in roles)
+
+    def without(self, attrs: tuple[str, ...]) -> BibRecord:
+        """A copy with ``attrs`` at their defaults; a date keeps its year."""
+        blank = {attr: self._field_defaults[attr] for attr in attrs}
+        if "date" in blank and self.date is not None:
+            blank["date"] = self.date._replace(month=None, day=None, day_end=None)
+        return self._replace(**blank)
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +637,25 @@ _DOCUMENT_ROWS_BY_FIELD = {**_ROWS_BY_FIELD,
                            "number": ("report_number", BIB_FIELDS["report_number"]),
                            "issue": ("issue", FieldRow(("issue",)))}
 
-# The entry types rendered as journal articles, and the fields an in-press
-# one's "In press <year>" stands in for.
-_ARTICLE_TYPES = (EntryType.ARTICLE, EntryType.WEBJOURNAL, EntryType.NEWSPAPER)
-_IN_PRESS_HIDES = ("volume", "number", "issue", "volsuppl", "issuesuppl",
-                   "volpart", "issuepart", "pages", "section", "column",
-                   "month", "day", "updated", "lastchecked")
-
-# Supplements and parts in the order the journal locator prefers them, with
-# what each qualifies.
-_QUALIFIERS = {"volsuppl": "volume", "volpart": "volume",
-               "issuesuppl": "issue", "issuepart": "issue"}
+# The article and patent drop rules, which the renderer applies and ``normalize``
+# warns for: the article types; what "In press <year>" and, with no warning,
+# ``pagination={continuous}`` blank; the locator's supplements and parts, in
+# order, with what each qualifies; the roles a patent credits before its author.
+ARTICLE_TYPES = (EntryType.ARTICLE, EntryType.WEBJOURNAL, EntryType.NEWSPAPER)
+IN_PRESS_HIDES = ("volume", "issue", "volume_supplement", "issue_supplement",
+                  "volume_part", "issue_part", "pages", "section", "column",
+                  "date", "updated", "cited")
+CONTINUOUS_HIDES = ("issue", "issue_supplement", "issue_part", "date")
+QUALIFIERS = {"volume_supplement": "volume", "volume_part": "volume",
+              "issue_supplement": "issue", "issue_part": "issue"}
+PATENT_CREDITS = (Role.INVENTOR, Role.ASSIGNEE)
 
 # The date row's winner: ``month`` and ``day`` are read only with ``year``.
 _DATE_OR_YEAR = FieldRow(BIB_FIELDS["date"].fields[:2])
 _DAY_RE = re.compile(r"(\d{1,2})(?:\s*-\s*(\d{1,2}))?")
+# The ``.bib`` fields of the hidden attributes: of the date, those a year omits.
+_IN_PRESS_FIELDS = [name for attr in IN_PRESS_HIDES for name in BIB_FIELDS[attr].fields
+                    if attr != "date" or name not in _DATE_OR_YEAR.fields]
 
 
 def _shadowed(name: str, winner: str) -> Diagnostic:
@@ -668,35 +680,31 @@ def _read(row: FieldRow, fields: dict[str, str],
     return winner, text
 
 
-def _unprinted_qualifiers(values: dict[str, object],
-                          issue_field: str) -> list[Diagnostic]:
-    """Warn for each supplement or part the journal locator leaves out.
+def printed_qualifier(rec: BibRecord) -> str:
+    """The supplement or part the journal locator prints, or ``""``."""
+    for attr, host in QUALIFIERS.items():
+        if getattr(rec, attr) and getattr(rec, host):
+            return attr
+    return ""
 
-    The locator prints one: the first whose volume or issue is set.  A
-    volume's supplement or part also stands in for the issue.  Continuous
-    pagination drops the issue with its supplement and part, as asked.
-    The warnings name the issue by ``issue_field``: ``number`` or ``issue``.
-    """
-    get = values.get
-    if get("volume_supplement") and get("issue_supplement"):
+
+def _unprinted_qualifiers(rec: BibRecord, winners: dict[str, str]) -> list[Diagnostic]:
+    """Warn for each supplement or part of ``rec`` the locator leaves out, and
+    for its issue, which a volume's stands in for; ``winners`` names the fields."""
+    if rec.continuous_pagination:
+        rec = rec.without(CONTINUOUS_HIDES)
+    if rec.volume_supplement and rec.issue_supplement:
         return []  # rendering fails with ConflictingLocator
-    issue, continuous = get("issue"), get("continuous_pagination")
-    hosts = {"volume": get("volume"), "issue": issue}
+    printed = printed_qualifier(rec)
     diags = []
-    winner = ""
-    for name, host in _QUALIFIERS.items():
-        if not get(_ROWS_BY_FIELD[name][0]) or continuous and host == "issue":
+    for attr, host in QUALIFIERS.items():
+        if attr == printed or not getattr(rec, attr):
             continue
-        if not hosts[host]:
-            diags.append(warning(
-                "shadowed-field", f"field '{name}' ignored: it needs "
-                f"'{issue_field if host == 'issue' else host}'"))
-        elif winner:
-            diags.append(_shadowed(name, winner))
-        else:
-            winner = name
-    if winner in ("volsuppl", "volpart") and issue and not continuous:
-        diags.append(_shadowed(issue_field, winner))
+        why = (f"'{winners[printed]}' is used instead" if getattr(rec, host)
+               else f"it needs '{BIB_FIELDS[host].fields[0]}'")
+        diags.append(warning("shadowed-field", f"field '{winners[attr]}' ignored: {why}"))
+    if QUALIFIERS.get(printed) == "volume" and rec.issue:
+        diags.append(_shadowed(winners["issue"], winners[printed]))
     return diags
 
 
@@ -729,7 +737,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     entry_type = map_entry_type(raw, diags)
     if entry_type is EntryType.PATENT and "author" in f:
         for people in contributors:
-            if people.role in (Role.INVENTOR, Role.ASSIGNEE):
+            if people.role in PATENT_CREDITS:
                 diags.append(_shadowed("author", people.role.value))
                 break
 
@@ -776,18 +784,16 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         diags.append(warning(
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))
 
-    if entry_type in _ARTICLE_TYPES:
-        if values.get("in_press"):
-            diags.extend(_shadowed(name, "inpress")
-                         for name in _IN_PRESS_HIDES if name in f)
-            if date_field == "date" and date.month:
-                diags.append(warning(
-                    "shadowed-field",
-                    "month and day of field 'date' ignored: 'inpress' is used instead"))
-        elif not f.keys().isdisjoint(_QUALIFIERS):
-            diags.extend(_unprinted_qualifiers(values, winners.get("issue") or "number"))
-
     record = BibRecord(key=raw.key, entry_type=entry_type,
                        contributors=tuple(contributors), date=date, **values)
+    if entry_type in ARTICLE_TYPES:
+        if record.in_press:
+            diags.extend(_shadowed(name, "inpress")
+                         for name in _IN_PRESS_FIELDS if name in f)
+            if date_field == "date" and date.month:
+                diags.append(warning("shadowed-field", "month and day of field 'date' "
+                                     "ignored: 'inpress' is used instead"))
+        elif any(map(values.get, QUALIFIERS)):
+            diags.extend(_unprinted_qualifiers(record, winners))
     return record, [d._replace(offset=raw.span[0]) for d in diags]
 

@@ -5,11 +5,12 @@ segment empty when its attributes are: journal, online and newspaper
 articles share the article template; books, proceedings, dictionaries,
 media, web monographs and misc the monograph template; a chapter is its
 contribution, ``In:`` and its book through the monograph template; reports
-and patents have their own.  :data:`TEMPLATES` has one row per entry type:
-its template function, the record attributes it requires and the attributes
-and roles it can print, which :data:`vanref.model.BIB_FIELDS` turns into the
-``.bib`` fields the ``unknown-field`` lint accepts.  All functions are pure:
-strings in, strings out.
+and patents have their own.  The article and patent templates apply the drop
+rules of :mod:`vanref.model`: an article blanks what they hide, then renders
+its one path.  :data:`TEMPLATES` has one row per entry type: its template
+function, the record attributes it requires and the attributes and roles it
+can print, which :data:`vanref.model.BIB_FIELDS` turns into the ``.bib``
+fields the ``unknown-field`` lint accepts.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from typing import Callable, NamedTuple
 from .bibtex import MONTH_MACROS
 from .model import (
     BIB_FIELDS,
+    CONTINUOUS_HIDES,
+    IN_PRESS_HIDES,
+    PATENT_CREDITS,
+    QUALIFIERS,
     UNPRINTED_FIELDS,
     BibRecord,
     ContributorList,
@@ -31,6 +36,7 @@ from .model import (
     _Checked,
     complete_page,
     initials,
+    printed_qualifier,
 )
 
 _MONTHS = tuple(abbreviation.title() for abbreviation in MONTH_MACROS)
@@ -81,9 +87,9 @@ class InvalidRange(ValueError):
 # building blocks
 
 def _sentence(text: str) -> str:
-    """Terminate a segment with exactly one period."""
+    """Terminate a segment with one period, unless it ends in ``.?!``."""
     text = text.strip()
-    if not text or text.endswith((".", "?")):
+    if not text or text.endswith((".", "?", "!")):
         return text
     return text + "."
 
@@ -205,25 +211,22 @@ def _clause(*parts: str) -> str:
     return _sentence("; ".join(filter(None, parts)))
 
 
+_QUALIFIED = {"volume_supplement": "{0} Suppl {2}", "volume_part": "{0}(Pt {2})",
+              "issue_supplement": "{0}({1} Suppl {2})", "issue_part": "{0}({1} Pt {2})"}
+
+
 def format_journal_locator(rec: BibRecord) -> str:
     """Volume/issue/supplement/part/section locator, e.g. ``42 Suppl 2``,
     ``58(12 Suppl 7)``, ``(401)`` or ``Sect. A``; one supplement or part prints.
     """
-    if rec.volume_supplement and rec.issue_supplement:
-        raise ConflictingLocator()
-    inner = rec.issue
-    if inner and rec.issue_supplement:
-        inner += f" Suppl {rec.issue_supplement}"
-    elif inner and rec.issue_part:
-        inner += f" Pt {rec.issue_part}"
-    if not rec.volume:
-        locator = f"({inner})" if inner else ""
-    elif rec.volume_supplement:
-        locator = f"{rec.volume} Suppl {rec.volume_supplement}"
-    elif rec.volume_part:
-        locator = f"{rec.volume}(Pt {rec.volume_part})"
-    else:
-        locator = f"{rec.volume}({inner})" if inner else rec.volume
+    volume, issue = rec.volume, rec.issue
+    locator = f"{volume}({issue})" if issue else volume
+    # any of QUALIFIERS, read with no call, so the plain locator makes none
+    if rec.volume_supplement or rec.volume_part or rec.issue_supplement or rec.issue_part:
+        if rec.volume_supplement and rec.issue_supplement:
+            raise ConflictingLocator()
+        if attr := printed_qualifier(rec):
+            locator = _QUALIFIED[attr].format(volume, issue, getattr(rec, attr))
     if rec.section:
         section = f"Sect. {rec.section}"
         locator = f"{locator} {section}" if locator else section
@@ -262,12 +265,6 @@ def _web_date_block(rec: BibRecord, date_str: str) -> str:
     return f"{date_str} {bracket}" if date_str else bracket
 
 
-def _year_text(rec: BibRecord) -> str:
-    if rec.date is None:
-        return ""
-    return format_date(rec.date._replace(month=None, day=None, day_end=None))
-
-
 def _note_segments(rec: BibRecord) -> list[str]:
     pairs = (
         ("Cited in PubMed; PMID ", rec.pmid),
@@ -289,32 +286,28 @@ def _render_article(rec: BibRecord, style: StyleConfig) -> str:
         journal = f"{journal} [{rec.medium}]" if journal else f"[{rec.medium}]"
     if not journal:
         raise MissingRequiredField(rec.entry_type, "journal")
+    if rec.in_press:
+        rec = rec.without(IN_PRESS_HIDES)
+    elif rec.continuous_pagination:
+        rec = rec.without(CONTINUOUS_HIDES)
+    out = _date_text(rec.date)
+    if rec.updated is not None or rec.cited is not None:
+        out = _web_date_block(rec, out)
+    locator = format_journal_locator(rec)
+    if locator:
+        out += f";{locator}" if out else locator
+    if rec.pages:
+        pages = format_pages(rec.pages)
+        out += f":{pages}" if out else pages
+    if rec.column:
+        column = f"(col. {rec.column})"
+        out += f" {column}" if out else column
     segments = [
         _primary_contributors(rec, style),
         _bracketed_title(rec.title, rec.article_type),
         _sentence(journal),
+        _sentence(_join(["In press", out]) if rec.in_press else out),
     ]
-    if rec.in_press:
-        segments.append(_sentence(_join(["In press", _year_text(rec)])))
-    else:
-        if rec.continuous_pagination:
-            out = _year_text(rec)
-            locator = format_journal_locator(
-                rec._replace(issue="", issue_supplement="", issue_part=""))
-        else:
-            out = _date_text(rec.date)
-            locator = format_journal_locator(rec)
-        if rec.updated is not None or rec.cited is not None:
-            out = _web_date_block(rec, out)
-        if locator:
-            out += f";{locator}" if out else locator
-        if rec.pages:
-            pages = format_pages(rec.pages)
-            out += f":{pages}" if out else pages
-        if rec.column:
-            column = f"(col. {rec.column})"
-            out += f" {column}" if out else column
-        segments.append(_sentence(out))
     if rec.date_epub is not None:
         segments.append(_sentence("Epub " + format_date(rec.date_epub)))
     segments.extend(_note_segments(rec))
@@ -380,7 +373,7 @@ def _render_techreport(rec: BibRecord, style: StyleConfig) -> str:
 
 
 def _render_patent(rec: BibRecord, style: StyleConfig) -> str:
-    people = rec.lists(Role.INVENTOR, Role.ASSIGNEE) or rec.lists(Role.AUTHOR)
+    people = rec.lists(*PATENT_CREDITS) or rec.lists(Role.AUTHOR)
     number_line = _join([rec.country, "patent", rec.report_number])
     return _join([
         format_contributors(people, style) if people else "",
@@ -441,8 +434,8 @@ TEMPLATES: dict[EntryType, Template] = {
     EntryType.CDROM: _BOOK,
     EntryType.MAP: _BOOK,
     EntryType.PATENT: _template(
-        _render_patent, ("title", "report_number"), Role.INVENTOR,
-        Role.ASSIGNEE, Role.AUTHOR, "title", "country", "report_number", "date"),
+        _render_patent, ("title", "report_number"), *PATENT_CREDITS,
+        Role.AUTHOR, "title", "country", "report_number", "date"),
     EntryType.WEBMONOGRAPH: _WEB_MONOGRAPH,
     EntryType.WEBPAGE: _WEB_MONOGRAPH,
     EntryType.WEBDATABASE: _WEB_MONOGRAPH,

@@ -2,13 +2,14 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vanref import RawEntry, StyleConfig, render_reference, resolve
 from vanref.bibtex import serialize_entry
@@ -76,6 +77,19 @@ def inject(entry: RawEntry, defect: str) -> str:
 
 DEFECTS = ("none", "no-date", "macro", "no-title", "and-and", "unknown-field",
            "duplicate-key")
+
+# A distinct, well-formed value for each locator and date field of an article.
+LOCATOR_VALUES = {
+    "volume": "41", "number": "7", "issue": "8", "volsuppl": "2",
+    "issuesuppl": "3", "volpart": "4", "issuepart": "5", "pages": "100-9",
+    "section": "A", "column": "6", "month": "Jul", "day": "12",
+    "updated": "2004 Feb 2", "lastchecked": "2005 Jan 1"}
+# Each field present or not at even odds, so that combinations are common.
+LOCATOR_SUBSETS = st.lists(
+    st.booleans(), min_size=len(LOCATOR_VALUES), max_size=len(LOCATOR_VALUES)).map(
+    lambda flags: {name for name, on in zip(LOCATOR_VALUES, flags) if on})
+# What pagination={continuous} drops without a word, as asked.
+CONTINUOUS_DROPS = {"number", "issue", "issuesuppl", "issuepart", "month", "day"}
 
 
 class TestFormat:
@@ -443,6 +457,76 @@ class TestCheck:
         assert capsys.readouterr() == (
             "checked 4 entries: 0 errors, 7 warnings\n", captured.err)
 
+    @staticmethod
+    def ignored_fields_are_unprinted(path, entry_type, fields, probed):
+        """Render the entry and, one per line, a copy without each field.
+
+        Unless the entry fails to render, each ``probed`` field warns
+        ``field '...' ignored`` if and only if its copy prints the same line.
+        """
+        def line(key, body):
+            return f"@{entry_type}{{{key}, " + ", ".join(
+                f"{name}={{{value}}}" for name, value in body.items()) + "}\n"
+
+        names = sorted(probed)
+        path.write_text(line("k", fields) + "".join(
+            line(name, {n: v for n, v in fields.items() if n != name})
+            for name in names), encoding="utf-8")
+        _, out, err = run_format(bib_paths=[str(path)])
+        printed = dict(text.split(". ", 1) for text in out.splitlines())
+        if "1" not in printed:
+            return
+        ignored = set(re.findall(rf"^{re.escape(str(path))}:1:1: warning: "
+                                 r"field '(\w+)' ignored", err, re.M))
+        unprinted = {name for i, name in enumerate(names, start=2)
+                     if printed.get(str(i)) == printed["1"]}
+        assert ignored & probed == unprinted, (fields, out, err)
+
+    @given(entry_type=st.sampled_from(["article", "article+url", "newspaper"]),
+           names=LOCATOR_SUBSETS,
+           date=st.sampled_from([None, "2003", "2003 Mar 4"]),
+           year=st.booleans(),
+           inpress=st.sampled_from([None, "yes", "no", ""]),
+           continuous=st.booleans())
+    # continuous pagination drops the issue supplement before the two
+    # supplements can conflict, so the volume's must warn as usual
+    @example(entry_type="article", names={"volsuppl", "issuesuppl", "number"},
+             date=None, year=True, inpress=None, continuous=True)
+    @example(entry_type="newspaper", date=None, year=True, inpress=None,
+             names={"volume", "volpart", "volsuppl", "issuesuppl", "number"},
+             continuous=True)
+    def test_an_article_field_warns_if_and_only_if_it_is_unprinted(
+            self, tmp_path_factory, entry_type, names, date, year, inpress,
+            continuous):
+        if "day" in names:
+            names = names | {"month"}
+        fields = {"author": "Smith, J", "title": "T", "journal": "J"}
+        if entry_type == "article+url":
+            entry_type, fields["url"] = "article", "http://x"
+        fields.update((name, LOCATOR_VALUES[name]) for name in sorted(names))
+        if date is not None:
+            fields["date"] = date
+        if year or date is None:
+            fields["year"] = "2002"
+        if inpress is not None:
+            fields["inpress"] = inpress
+        if continuous:
+            fields["pagination"] = "continuous"
+        probed = names | {"date", "year"} & fields.keys()
+        if continuous and inpress not in ("yes", ""):
+            probed -= CONTINUOUS_DROPS
+        self.ignored_fields_are_unprinted(
+            tmp_path_factory.mktemp("ignored") / "a.bib", entry_type, fields, probed)
+
+    @pytest.mark.parametrize("roles", [
+        ("author",), ("author", "inventor"), ("author", "assignee"),
+        ("author", "inventor", "assignee"), ("inventor", "assignee")])
+    def test_a_patent_credit_warns_if_and_only_if_it_is_unprinted(self, tmp_path, roles):
+        fields = {role: f"{role.title()}, J" for role in roles}
+        fields.update(title="T", country="US", number="1", year="2001")
+        self.ignored_fields_are_unprinted(tmp_path / "p.bib", "patent", fields,
+                                          set(roles))
+
     def test_duplicate_key_warns_only(self, tmp_path):
         dup = tmp_path / "dup.bib"
         dup.write_text(
@@ -619,6 +703,19 @@ class TestMonographs:
             "9. T. J. 2001. Available from: http://x/a--b_{c}\n", "")
         assert main(["check", "--bib", str(bib)]) == 0
         assert capsys.readouterr() == ("checked 9 entries: 0 errors, 0 warnings\n", "")
+
+    def test_a_title_ending_in_an_exclamation_point_gets_no_period(
+            self, tmp_path, capsys):
+        bib = tmp_path / "bang.bib"
+        bib.write_text(
+            "@article{a, author={Smith, J}, title={Stop smoking now!},\n"
+            "  journal={J}, year={2001}, volume={4}, pages={1-9}}\n"
+            "@book{b, author={Smith, J}, title={Stop smoking now!},\n"
+            "  publisher={P}, year={2001}}\n", encoding="utf-8")
+        assert main(["format", "--bib", str(bib), "--all"]) == 0
+        assert capsys.readouterr() == (
+            "1. Smith J. Stop smoking now! J. 2001;4:1-9.\n"
+            "2. Smith J. Stop smoking now! P; 2001.\n", "")
 
     def test_spaced_day_range_is_read_like_a_spaced_page_range(self, tmp_path, capsys):
         bib = tmp_path / "spaced.bib"

@@ -351,10 +351,10 @@ def normalize_reference(raw):
 def _locator_reference(record, issue_field):
     """The supplement and part warnings, read off ``format_journal_locator``:
     a field is lost when blanking it leaves the locator as it was."""
-    if record.volume_supplement and record.issue_supplement:
-        return []  # a render error
     if record.continuous_pagination:
         record = record._replace(issue="", issue_supplement="", issue_part="")
+    if record.volume_supplement and record.issue_supplement:
+        return []  # a render error
     fields = {"volsuppl": "volume_supplement", "volpart": "volume_part",
               "issuesuppl": "issue_supplement", "issuepart": "issue_part",
               issue_field: "issue"}

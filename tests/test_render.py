@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vanref.model import (
+    ARTICLE_TYPES,
     BIB_FIELDS,
     UNPRINTED_FIELDS,
     BibRecord,
@@ -34,6 +35,7 @@ from vanref.render import (
     format_pages,
     render_reference,
 )
+from vanref.render import _render_article
 
 
 def person(family, given="", particle="", suffix=""):
@@ -347,6 +349,13 @@ class TestTemplateReads:
         assert set(template.reads) <= seen
         assert seen <= set(template.reads) | {
             "key", "entry_type", "contributors"}
+
+
+def test_article_types_are_the_article_template_rows():
+    # normalize warns for what the article template drops on these types
+    assert set(ARTICLE_TYPES) == {
+        entry_type for entry_type, template in TEMPLATES.items()
+        if template.render is _render_article}
 
 
 FORBIDDEN = ("  ", " .", "..")
