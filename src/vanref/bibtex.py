@@ -425,6 +425,16 @@ _ESCAPES = {"&": "&", "%": "%", "_": "_", "#": "#", "$": "$", "{": "{", "}": "}"
 _SPECIAL_RE = re.compile(r"[\\${}]|--+")
 
 
+def _has_special(value: str) -> bool:
+    """Whether ``_SPECIAL_RE`` matches in ``value``.
+
+    Five substring scans: several times faster than the regex search, whose
+    alternation steps through the value one position at a time.
+    """
+    return ("\\" in value or "{" in value or "}" in value or "$" in value
+            or "--" in value)
+
+
 def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
     """Reduce a raw field value to plain text, whitespace runs collapsed.
 
@@ -435,9 +445,9 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
     whitespace after it as in TeX; each adds a diagnostic when a sink list
     is supplied.  Never fails.
     """
-    m = _SPECIAL_RE.search(value)
-    if m is None:
+    if not _has_special(value):
         return _flatten(value)
+    m = _SPECIAL_RE.search(value)
     out: list[str] = []
     i = 0
     in_math = False

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import re
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .bibtex import MONTH_MACROS, _SPECIAL_RE, RawEntry, _flatten, strip_latex
+from .bibtex import MONTH_MACROS, RawEntry, _flatten, _has_special, strip_latex
 from .diagnostics import Diagnostic, error, warning
 
 
@@ -216,10 +217,19 @@ class BibRecord(NamedTuple):
 
     def without(self, attrs: tuple[str, ...]) -> BibRecord:
         """A copy with ``attrs`` at their defaults; a date keeps its year."""
-        blank = {attr: self._field_defaults[attr] for attr in attrs}
-        if "date" in blank and self.date is not None:
-            blank["date"] = self.date._replace(month=None, day=None, day_end=None)
-        return self._replace(**blank)
+        values = list(self)
+        for attr in attrs:
+            values[_FIELD_INDEX[attr]] = self._field_defaults[attr]
+        if "date" in attrs and self.date is not None:
+            values[_FIELD_INDEX["date"]] = self.date._replace(
+                month=None, day=None, day_end=None)
+        return self._make(values)
+
+
+# Each record attribute's position, and the defaults in that order (``key``
+# and ``entry_type`` have none): ``normalize`` builds a record positionally.
+_FIELD_INDEX = {attr: i for i, attr in enumerate(BibRecord._fields)}
+_DEFAULTS = [BibRecord._field_defaults.get(attr) for attr in BibRecord._fields]
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +240,8 @@ def _scan_names(value: str) -> list[tuple[list[str], list[list[str]]]]:
 
     Each name between ``and`` words comes back as its whitespace words and
     as the same text cut at commas into lists of words.  Depth never drops
-    below zero; an unclosed brace runs to the end of the field.  A field
-    with no brace is all at depth zero, so ``str.split`` does the cutting.
+    below zero; an unclosed brace runs to the end of the field.
     """
-    if "{" not in value and "}" not in value:
-        groups: list[list[str]] = [[]]
-        for word in value.split():
-            if word.lower() == "and":
-                groups.append([])
-            else:
-                groups[-1].append(word)
-        return [(words, [part.split() for part in " ".join(words).split(",")])
-                for words in groups]
     names: list[tuple[list[str], list[list[str]]]] = []
     words: list[str] = []
     parts: list[list[str]] = [[]]
@@ -285,6 +285,24 @@ def _scan_names(value: str) -> list[tuple[list[str], list[list[str]]]]:
     return names
 
 
+def _split_plain_names(value: str) -> list[tuple[list[str], str]]:
+    """Split a field with no brace and no LaTeX at its ``and`` words.
+
+    Each name comes back as its whitespace words and as their text, the
+    words joined by single spaces.
+    """
+    words: list[str] = []
+    groups = [words]
+    for word in value.split():
+        # only a three-letter word lowercases to "and"
+        if len(word) == 3 and word.lower() == "and":
+            words = []
+            groups.append(words)
+        else:
+            words.append(word)
+    return [(words, " ".join(words)) for words in groups]
+
+
 def _is_lower_word(word: str) -> bool:
     """BibTeX case of a word: decided by its first letter at depth zero."""
     depth = 0
@@ -303,11 +321,10 @@ def _plain_words(words: list[str]) -> str:
 
 
 def _person_from_parts(first: list[str], von: list[str], last: list[str],
-                       suffix: list[str],
-                       plain: Callable[[list[str]], str] = _plain_words,
-                       ) -> PersonName:
-    """Build a name from its parts' words; ``plain`` turns words into text."""
-    return PersonName(plain(last), plain(first), plain(von), plain(suffix))
+                       suffix: list[str]) -> PersonName:
+    """Build a name from its parts' words, their LaTeX stripped."""
+    return PersonName(_plain_words(last), _plain_words(first), _plain_words(von),
+                      _plain_words(suffix))
 
 
 def _split_von_last(words: list[str]) -> tuple[list[str], list[str]]:
@@ -318,8 +335,7 @@ def _split_von_last(words: list[str]) -> tuple[list[str], list[str]]:
     return words[lowers[0]:lowers[-1] + 1], words[lowers[-1] + 1:]
 
 
-def _parse_one_name(words: list[str], parts: list[list[str]],
-                    plain: Callable[[list[str]], str]) -> PersonName:
+def _parse_one_name(words: list[str], parts: list[list[str]]) -> PersonName:
     if len(words) == 1 and words[0][0] == "{" and words[0][-1] == "}":
         inner, depth = words[0][1:-1], 0
         for c in inner:  # the outer braces must be one group
@@ -335,16 +351,41 @@ def _parse_one_name(words: list[str], parts: list[list[str]],
         i = next((i for i, w in enumerate(tokens[:-1]) if _is_lower_word(w)),
                  len(tokens) - 1)
         von, last = _split_von_last(tokens[i:])
-        return _person_from_parts(tokens[:i], von, last, [], plain)
+        return _person_from_parts(tokens[:i], von, last, [])
     left = parts[0]
     if left and _is_lower_word(left[0]):
         von, last = _split_von_last(left)
     else:
         von, last = [], left
     if len(parts) == 2:
-        return _person_from_parts(parts[1], von, last, [], plain)
+        return _person_from_parts(parts[1], von, last, [])
     first = [w for grp in parts[2:] for w in grp]
-    return _person_from_parts(first, von, last, parts[1], plain)
+    return _person_from_parts(first, von, last, parts[1])
+
+
+def _plain_name(words: list[str], text: str) -> PersonName:
+    """One name of a field with no brace and no LaTeX: the rules of
+    ``_parse_one_name`` on its words and their text, with no literal form."""
+    left, comma, right = text.partition(",")
+    if not comma:  # First von Last
+        lowers = [i for i in range(len(words) - 1) if _is_lower_word(words[i])]
+        if not lowers:
+            return PersonName(words[-1], " ".join(words[:-1]))
+        von, last = lowers[0], lowers[-1] + 1
+        return PersonName(" ".join(words[last:]), " ".join(words[:von]),
+                          " ".join(words[von:last]))
+    last = left.split()
+    von = ""
+    if last and _is_lower_word(last[0]):
+        lowers = [i for i in range(len(last) - 1) if _is_lower_word(last[i])]
+        if lowers:
+            von = " ".join(last[:lowers[-1] + 1])
+            last = last[lowers[-1] + 1:]
+    if "," not in right:  # von Last, First
+        return PersonName(" ".join(last), right.strip(), von)
+    suffix, _, first = right.partition(",")  # von Last, Jr, First
+    return PersonName(" ".join(last), " ".join(first.replace(",", " ").split()), von,
+                      suffix.strip())
 
 
 def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
@@ -353,12 +394,15 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
     Names are separated by the word ``and`` at brace depth zero and follow
     the ``First von Last``, ``von Last, First`` and ``von Last, Jr, First``
     forms; a fully braced name is taken as a corporate literal.  A trailing
-    ``and others`` sets the truncation flag.
+    ``and others`` sets the truncation flag.  A field with no brace and no
+    LaTeX takes the brace-free path: its ``str.split`` words are cut at
+    each ``and`` and then at commas, and a word's case is its first
+    letter's.  Any other field is walked character by character.
     """
-    pieces = _scan_names(value)
-    # With no LaTeX in the field, strip_latex would only join a part's
-    # words, which hold no whitespace.
-    plain = _plain_words if _SPECIAL_RE.search(value) else " ".join
+    if not _has_special(value):
+        pieces, parse_one = _split_plain_names(value), _plain_name
+    else:
+        pieces, parse_one = _scan_names(value), _parse_one_name
     last_words = pieces[-1][0]
     truncated = len(last_words) == 1 and last_words[0].lower() == "others"
     if truncated:
@@ -370,11 +414,11 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
         if not words:
             raise NameParseError(f"empty name at position {index}", index)
         try:
-            names.append(_parse_one_name(words, parts, plain))
+            names.append(parse_one(words, parts))
         except ValueError as exc:
             raise NameParseError(
                 f"unusable name at position {index}: {exc}", index) from exc
-    return ContributorList(tuple(names), role=role, truncated=truncated)
+    return ContributorList(tuple(names), role, truncated)
 
 
 def initials(given: str) -> str:
@@ -402,6 +446,7 @@ _DATE_RE = re.compile(
     r"(?:\s+(\d{1,2})(?:\s*-\s*(\d{1,2}))?)?)?"
     r"(\s*-)?"
 )
+_CIRCA_RANGE_RE = re.compile(r"c(\d{4})-(\d{2}|\d{4})")
 
 
 def parse_month(value: str) -> int | None:
@@ -435,7 +480,7 @@ def parse_date(value: str,
                 )
             except ValueError:
                 pass
-    m = re.fullmatch(r"c(\d{4})-(\d{2}|\d{4})", s)
+    m = _CIRCA_RANGE_RE.fullmatch(s)
     if m:
         return PartialDate(year=int(m.group(1)), circa=True, raw=s)
     if diagnostics is not None:
@@ -449,7 +494,6 @@ def parse_date(value: str,
 _ROMAN = r"[ivxlcdm]+"
 _ROMAN_RE = re.compile(_ROMAN)
 _ROMAN_RANGE_RE = re.compile(f"({_ROMAN})\\s*-\\s*({_ROMAN})")
-_DIGITS_RE = re.compile(r"\d+")
 _DIGIT_RANGE_RE = re.compile(r"(\d+)\s*-\s*(\d+)")
 
 
@@ -463,13 +507,13 @@ def complete_page(first: str, last: str) -> str:
 def parse_pages(value: str) -> PageExtent:
     """Classify a pages field; unrecognized shapes pass through verbatim."""
     s = value.strip()
-    if _DIGITS_RE.fullmatch(s):
-        return PageExtent(PageKind.SINGLE, first=s)
+    if s.isdecimal():  # as r"\d+" matches: all decimal digits (category Nd)
+        return PageExtent(PageKind.SINGLE, s)
     m = _DIGIT_RANGE_RE.fullmatch(s)
     if m:
         first, last = m.groups()
         if int(complete_page(first, last)) >= int(first):
-            return PageExtent(PageKind.NUMERIC_RANGE, first=first, last=last)
+            return PageExtent(PageKind.NUMERIC_RANGE, first, last)
         return PageExtent(PageKind.TEXT, text=s)
     m = _ROMAN_RANGE_RE.fullmatch(s)
     if m:
@@ -515,17 +559,13 @@ _TYPE_MAP = {
 def map_entry_type(raw: RawEntry,
                    diagnostics: list[Diagnostic] | None = None) -> EntryType:
     """Total mapping from the raw ``@type`` (plus web/medium markers)."""
+    return _with_medium(_web_type(raw, diagnostics),
+                        strip_latex(raw.fields.get("medium", "")))
+
+
+def _web_type(raw: RawEntry, diagnostics: list[Diagnostic] | None) -> EntryType:
+    """The type from ``@type`` and ``url``, before a book's medium is read."""
     base = _TYPE_MAP.get(raw.entry_type)
-    has_url = bool(raw.fields.get("url", "").strip())
-    if base is EntryType.ARTICLE and has_url:
-        return EntryType.WEBJOURNAL
-    if base is EntryType.BOOK:
-        if has_url:
-            return EntryType.WEBMONOGRAPH
-        if medium := strip_latex(raw.fields.get("medium", "")):
-            if "cd-rom" in medium.lower():
-                return EntryType.CDROM
-            return EntryType.AUDIOVISUAL
     if base is None:
         if diagnostics is not None:
             diagnostics.append(warning(
@@ -534,7 +574,19 @@ def map_entry_type(raw: RawEntry,
                 raw.span[0],
             ))
         return EntryType.MISC
+    if raw.fields.get("url", "").strip():
+        if base is EntryType.ARTICLE:
+            return EntryType.WEBJOURNAL
+        if base is EntryType.BOOK:
+            return EntryType.WEBMONOGRAPH
     return base
+
+
+def _with_medium(entry_type: EntryType, medium: str) -> EntryType:
+    """A book with a cleaned ``medium`` is a CD-ROM or an audiovisual item."""
+    if entry_type is EntryType.BOOK and medium:
+        return EntryType.CDROM if "cd-rom" in medium.lower() else EntryType.AUDIOVISUAL
+    return entry_type
 
 
 _ROLE_FIELDS = [(role.value, role) for role in Role]
@@ -576,7 +628,8 @@ class FieldRow(NamedTuple):
 
 # The one map from ``.bib`` fields to record attributes and roles.  The roles
 # are read by ``parse_names`` in ``Role`` order; ``normalize`` reads every
-# other row by one rule (see ``_read``), ``date`` as ``date``, else ``year``
+# other row by one rule (see ``_read``, which a row of one field skips: its
+# field wins when its text is non-empty), ``date`` as ``date``, else ``year``
 # with ``month`` and ``day``.
 BIB_FIELDS: dict[str | Role, FieldRow] = {
     **{role: FieldRow((name,)) for name, role in _ROLE_FIELDS},
@@ -627,15 +680,23 @@ BIB_FIELDS: dict[str | Role, FieldRow] = {
 # ``.bib`` fields every entry type accepts though no template prints them.
 UNPRINTED_FIELDS = frozenset({"language", "note", "key"})
 
-# Each field ``_read`` reads, with its attribute and row.  ``number`` is the
+
+def _reading(attr: str, row: FieldRow) -> tuple:
+    """How ``normalize`` reads a field of ``row``: the position of ``attr`` in
+    the record, the row's ``clean`` and ``read``, and the row itself if it
+    has several fields, for ``_read``."""
+    return _FIELD_INDEX[attr], row.clean, row.read, row if len(row.fields) > 1 else None
+
+
+# Each field read by the one rule, with its reading.  ``number`` is the
 # issue, except in reports and patents, whose document number it is.
-_ROWS_BY_FIELD = {name: (attr, row) for attr, row in BIB_FIELDS.items()
+_ROWS_BY_FIELD = {name: _reading(attr, row) for attr, row in BIB_FIELDS.items()
                   if isinstance(attr, str) and attr not in ("date", "report_number")
                   for name in row.fields}
 _DOCUMENT_TYPES = (EntryType.TECHREPORT, EntryType.PATENT)
 _DOCUMENT_ROWS_BY_FIELD = {**_ROWS_BY_FIELD,
-                           "number": ("report_number", BIB_FIELDS["report_number"]),
-                           "issue": ("issue", FieldRow(("issue",)))}
+                           "number": _reading("report_number", BIB_FIELDS["report_number"]),
+                           "issue": _reading("issue", FieldRow(("issue",)))}
 
 # The article and patent drop rules, which the renderer applies and ``normalize``
 # warns for: the article types; what "In press <year>" and, with no warning,
@@ -649,6 +710,7 @@ CONTINUOUS_HIDES = ("issue", "issue_supplement", "issue_part", "date")
 QUALIFIERS = {"volume_supplement": "volume", "volume_part": "volume",
               "issue_supplement": "issue", "issue_part": "issue"}
 PATENT_CREDITS = (Role.INVENTOR, Role.ASSIGNEE)
+_QUALIFIER_VALUES = attrgetter(*QUALIFIERS)
 
 # The date row's winner: ``month`` and ``day`` are read only with ``year``.
 _DATE_OR_YEAR = FieldRow(BIB_FIELDS["date"].fields[:2])
@@ -688,9 +750,9 @@ def printed_qualifier(rec: BibRecord) -> str:
     return ""
 
 
-def _unprinted_qualifiers(rec: BibRecord, winners: dict[str, str]) -> list[Diagnostic]:
+def _unprinted_qualifiers(rec: BibRecord, issue_field: str) -> list[Diagnostic]:
     """Warn for each supplement or part of ``rec`` the locator leaves out, and
-    for its issue, which a volume's stands in for; ``winners`` names the fields."""
+    for its issue, read from ``issue_field``, which a volume's stands in for."""
     if rec.continuous_pagination:
         rec = rec.without(CONTINUOUS_HIDES)
     if rec.volume_supplement and rec.issue_supplement:
@@ -700,11 +762,12 @@ def _unprinted_qualifiers(rec: BibRecord, winners: dict[str, str]) -> list[Diagn
     for attr, host in QUALIFIERS.items():
         if attr == printed or not getattr(rec, attr):
             continue
-        why = (f"'{winners[printed]}' is used instead" if getattr(rec, host)
+        why = (f"'{BIB_FIELDS[printed].fields[0]}' is used instead" if getattr(rec, host)
                else f"it needs '{BIB_FIELDS[host].fields[0]}'")
-        diags.append(warning("shadowed-field", f"field '{winners[attr]}' ignored: {why}"))
+        diags.append(warning("shadowed-field",
+                             f"field '{BIB_FIELDS[attr].fields[0]}' ignored: {why}"))
     if QUALIFIERS.get(printed) == "volume" and rec.issue:
-        diags.append(_shadowed(winners["issue"], winners[printed]))
+        diags.append(_shadowed(issue_field, BIB_FIELDS[printed].fields[0]))
     return diags
 
 
@@ -718,8 +781,11 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     the record's default; only ``inpress`` reads its empty text, as "in
     press".  Rows are read in the order the entry first names one of their
     fields, ``date`` last.  The contributor roles are read in ``Role``
-    order, and in reports and patents ``number`` is the document number.
-    Every diagnostic points at the entry's ``@`` (``raw.span[0]``).
+    order by :func:`parse_names`, whose brace-free path takes every name
+    field with no brace and no LaTeX; in reports and patents ``number`` is
+    the document number.  The record is built positionally from
+    ``_DEFAULTS``.  Every diagnostic points at the entry's ``@``
+    (``raw.span[0]``).
     """
     diags: list[Diagnostic] = []
     f = raw.fields
@@ -734,7 +800,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                     "empty-name",
                     f"entry '{raw.key}': bad {field_name} field: {exc}"))
 
-    entry_type = map_entry_type(raw, diags)
+    entry_type = _web_type(raw, diags)
     if entry_type is EntryType.PATENT and "author" in f:
         for people in contributors:
             if people.role in PATENT_CREDITS:
@@ -742,15 +808,21 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                 break
 
     rows = _DOCUMENT_ROWS_BY_FIELD if entry_type in _DOCUMENT_TYPES else _ROWS_BY_FIELD
-    values: dict[str, object] = {}
-    winners: dict[str, str] = {}  # each row read, to the field that won it
-    for name in f:
-        if name in rows:
-            attr, row = rows[name]
-            if attr not in winners:
-                winners[attr], text = _read(row, f, diags)
-                if text or attr == "in_press":
-                    values[attr] = text if row.read is None else row.read(text, diags)
+    values = _DEFAULTS.copy()
+    winners: dict[int, str] = {}  # each row of several fields, to the field that won it
+    for name, value in f.items():
+        if name not in rows:
+            continue
+        index, clean, read, several = rows[name]
+        if several is None:
+            text = clean(value, diags)
+        elif index in winners:
+            continue
+        else:
+            winners[index], text = _read(several, f, diags)
+        if text or read is _in_press:
+            values[index] = text if read is None else read(text, diags)
+    entry_type = _with_medium(entry_type, values[_FIELD_INDEX["medium"]])
 
     date_field, text = _read(_DATE_OR_YEAR, f, diags)
     date = None
@@ -773,9 +845,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
             else:
                 diags.append(warning("unparsed-date", f"day '{day_text}' ignored"))
         try:
-            date = PartialDate(
-                year=int(text) if text.isdigit() else text,
-                month=month, day=day, day_end=day_end)
+            date = PartialDate(int(text) if text.isdigit() else text, month, day, day_end)
         except ValueError:
             diags.append(warning(
                 "unparsed-date", f"date fields kept verbatim for '{raw.key}'"))
@@ -784,8 +854,9 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         diags.append(warning(
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))
 
-    record = BibRecord(key=raw.key, entry_type=entry_type,
-                       contributors=tuple(contributors), date=date, **values)
+    values[:3] = raw.key, entry_type, tuple(contributors)  # the record's first fields
+    values[_FIELD_INDEX["date"]] = date
+    record = BibRecord._make(values)
     if entry_type in ARTICLE_TYPES:
         if record.in_press:
             diags.extend(_shadowed(name, "inpress")
@@ -793,7 +864,8 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
             if date_field == "date" and date.month:
                 diags.append(warning("shadowed-field", "month and day of field 'date' "
                                      "ignored: 'inpress' is used instead"))
-        elif any(map(values.get, QUALIFIERS)):
-            diags.extend(_unprinted_qualifiers(record, winners))
+        elif any(_QUALIFIER_VALUES(record)):
+            issue_field = winners.get(_FIELD_INDEX["issue"], "")
+            diags.extend(_unprinted_qualifiers(record, issue_field))
     return record, [d._replace(offset=raw.span[0]) for d in diags]
 

@@ -17,8 +17,10 @@ from vanref.bibtex import (
     _KEY_PAREN_RE,
     _NAME_RE,
     _QUOTE_JUMP_RE,
+    _SPECIAL_RE,
     _TYPE_RE,
     _flatten,
+    _has_special,
     _skip_junk,
     parse_database,
     serialize_database,
@@ -616,6 +618,13 @@ class TestStripLatex:
     @given(st.text())
     def test_flatten_collapses_whitespace_like_the_regex(self, value):
         assert _flatten(value) == _WS_RUN_RE.sub(" ", value).strip()
+
+    @given(st.text(alphabet="\\${}-a ") | st.text())
+    @example("a-b")
+    @example("a---b")
+    @example("$")
+    def test_special_test_agrees_with_the_regex(self, value):
+        assert _has_special(value) == (_SPECIAL_RE.search(value) is not None)
 
     def test_escaped_ampersand(self):
         assert strip_latex(r"Ancel Surgical R\&D Inc.") == "Ancel Surgical R&D Inc."

@@ -13,6 +13,8 @@ from vanref.bibtex import RawEntry, parse_database, strip_latex
 from vanref.diagnostics import error, warning
 from vanref.model import (
     BIB_FIELDS,
+    CONTINUOUS_HIDES,
+    IN_PRESS_HIDES,
     TRUE_WORDS,
     UNPRINTED_FIELDS,
     BibRecord,
@@ -458,6 +460,48 @@ class TestValueChecks:
         assert type(pickle.loads(pickle.dumps(value))) is type(value)
 
 
+# Name words for the brace-free path, and words that send a field down the
+# LaTeX path.
+_NAME_WORDS = ["and", "AND", "others", "van", "der", "de", "la", "Smith", "J.",
+               "Jr", "Jean-Luc", "d'Arc", "Élodie", "élan", "1st", ","]
+_LATEX_NAME_WORDS = ["Lu--Smith", "O\\'Neil", "a\\b"]
+_NAME_SPACES = [" ", "\t", "\xa0", "\x1c"]
+
+
+@st.composite
+def _word_fields(draw):
+    """A name field of whole words, between any of the spaces, with a
+    leading or trailing ``and`` now and then."""
+    words = draw(st.lists(st.sampled_from(_NAME_WORDS), max_size=10))
+    if draw(st.integers(0, 4)) == 0:
+        words.insert(draw(st.integers(0, len(words))),
+                     draw(st.sampled_from(_LATEX_NAME_WORDS)))
+    if draw(st.booleans()):
+        words.insert(0, "and")
+    if draw(st.booleans()):
+        words.append("and")
+    spaces = draw(st.lists(st.sampled_from(_NAME_SPACES),
+                           min_size=len(words) + 1, max_size=len(words) + 1))
+    return "".join(space + word for space, word in zip(spaces, words + [""]))
+
+
+def _without_by_replace(record, attrs):
+    """``BibRecord.without`` as written with one ``_replace`` of every field."""
+    blank = {attr: record._field_defaults[attr] for attr in attrs}
+    if "date" in blank and record.date is not None:
+        blank["date"] = record.date._replace(month=None, day=None, day_end=None)
+    return record._replace(**blank)
+
+
+class TestWithout:
+    @pytest.mark.parametrize("attrs", [IN_PRESS_HIDES, CONTINUOUS_HIDES])
+    def test_matches_replace_over_the_corpus(self, corpus_records, attrs):
+        for record in corpus_records.values():
+            copy_ = record.without(attrs)
+            assert type(copy_) is BibRecord
+            assert copy_ == _without_by_replace(record, attrs), record.key
+
+
 class TestParseNames:
     def test_two_personal_names(self):
         result = parse_names("Halpern, Scott D. and Ubel, Peter A.")
@@ -538,6 +582,24 @@ class TestParseNames:
     @example("a,")
     def test_one_pass_split_matches_two_pass_reference(self, value):
         assert _outcome(parse_names, value) == _outcome(_ref_parse_names, value)
+
+    @given(_word_fields())
+    @example("and Smith, J")
+    @example("Smith, J and")
+    @example("Smith, J and and Roe, A")
+    @example("van der Berg, Jr, Jean-Luc and d'Arc\xa0and\tothers")
+    @example("Smith, Jr , J. , la and ,Smith")
+    @example("Smith, Jr , J. , la and Roe, A")
+    @example("Jean-Luc van\x1cder Berg and élan 1st Élodie")
+    @example("Lu--Smith, J and O\\'Neil, A")
+    def test_word_fields_match_two_pass_reference(self, value):
+        # whole words, so the brace-free path meets "others", particles,
+        # suffixes and case tests; a word with "--" or "\\" takes the LaTeX path
+        assert _outcome(parse_names, value) == _outcome(_ref_parse_names, value)
+
+    def test_dash_or_backslash_takes_the_latex_path(self):
+        assert parse_names("Lu--Smith, J").names[0].family == "Lu-Smith"
+        assert parse_names("Roe, J\\ A").names[0].given == "J A"
 
 
 class TestInitials:
@@ -903,6 +965,19 @@ class TestNormalize:
         again, again_diags = normalize(widened)
         assert again == record
         assert again_diags == diags
+
+    def test_corpus_entries_match_reference(self, corpus_db):
+        # the golden entries, as written and with their whitespace widened
+        assert len(corpus_db.entries) == 48
+        for entry in corpus_db.entries:
+            widened = entry._replace(fields={name: _widened(value)
+                                             for name, value in entry.fields.items()})
+            for raw_entry in (entry, widened):
+                record, diags = normalize(raw_entry)
+                expected, expected_diags = normalize_reference(raw_entry)
+                assert record._asdict() == expected._asdict(), entry.key
+                assert _diagnostic_multiset(diags) == \
+                    _diagnostic_multiset(expected_diags), entry.key
 
     def test_bad_name_field_is_error_not_crash(self):
         record, diags = normalize(
