@@ -13,7 +13,8 @@ from enum import Enum
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .bibtex import MONTH_MACROS, RawEntry, _flatten, _has_special, strip_latex
+from .bibtex import (MONTH_MACROS, RawEntry, _BRACE_JUMP_RE, _flatten, _has_special,
+                     strip_latex)
 from .diagnostics import Diagnostic, error, warning
 
 
@@ -235,72 +236,48 @@ _DEFAULTS = [BibRecord._field_defaults.get(attr) for attr in BibRecord._fields]
 # ---------------------------------------------------------------------------
 # contributor names
 
-def _scan_names(value: str) -> list[tuple[list[str], list[list[str]]]]:
-    """Split a name field in one pass at brace depth zero.
+def _mask(value: str) -> str:
+    """``value`` at the same length with the inside of each top-level brace
+    group blanked to NULs, so that ``str`` methods see only depth zero.
 
-    Each name between ``and`` words comes back as its whitespace words and
-    as the same text cut at commas into lists of words.  Depth never drops
-    below zero; an unclosed brace runs to the end of the field.
+    The outer braces stay; an unclosed brace runs to the end, and a ``}``
+    at depth zero is an ordinary character.  A field with no ``{`` is
+    returned as the same object.
     """
-    names: list[tuple[list[str], list[list[str]]]] = []
-    words: list[str] = []
-    parts: list[list[str]] = [[]]
-    depth = 0
-    start = cut = -1  # current word start, start of its current comma part
-
-    def end_word(end: int) -> None:
-        nonlocal words, parts
-        word = value[start:end]
-        if word.lower() == "and":
-            names.append((words, parts))
-            words, parts = [], [[]]
-            return
-        words.append(word)
-        if cut < end:
-            parts[-1].append(value[cut:end])
-
-    for i, c in enumerate(value):
-        if c == "{":
-            depth += 1
-        elif c == "}":
-            depth = depth - 1 if depth else 0
-        elif depth == 0 and c.isspace():
-            if start >= 0:
-                end_word(i)
-                start = -1
-            continue
-        elif depth == 0 and c == ",":
-            if start < 0:
-                start = i
-            elif cut < i:
-                parts[-1].append(value[cut:i])
-            parts.append([])
-            cut = i + 1
-            continue
-        if start < 0:
-            start = cut = i
-    if start >= 0:
-        end_word(len(value))
-    names.append((words, parts))
-    return names
+    i = value.find("{")
+    if i < 0:
+        return value
+    out = []
+    start = 0  # the text from here on is kept as it is
+    while i >= 0:  # a top-level group opens at i
+        depth, end = 1, i + 1
+        while depth:
+            m = _BRACE_JUMP_RE.search(value, end)
+            if m is None:  # never closed: blank to the end
+                out += value[start:i + 1], "\0" * (len(value) - i - 1)
+                return "".join(out)
+            end = m.end()
+            depth += 1 if m[0] == "{" else -1
+        out += value[start:i + 1], "\0" * (end - i - 2)
+        start = end - 1
+        i = value.find("{", end)
+    out.append(value[start:])
+    return "".join(out)
 
 
-def _split_plain_names(value: str) -> list[tuple[list[str], str]]:
-    """Split a field with no brace and no LaTeX at its ``and`` words.
+def _cut(value: str, masked: str) -> list[str]:
+    """The words of ``value`` where ``masked``, its mask, has whitespace.
 
-    Each name comes back as its whitespace words and as their text, the
-    words joined by single spaces.
+    Each masked word is found after the end of the one before it, so two
+    words that mask to the same text are never confused.
     """
-    words: list[str] = []
-    groups = [words]
-    for word in value.split():
-        # only a three-letter word lowercases to "and"
-        if len(word) == 3 and word.lower() == "and":
-            words = []
-            groups.append(words)
-        else:
-            words.append(word)
-    return [(words, " ".join(words)) for words in groups]
+    words = masked.split()
+    end = 0
+    for k, word in enumerate(words):
+        start = masked.find(word, end)
+        end = start + len(word)
+        words[k] = value[start:end]
+    return words
 
 
 def _is_lower_word(word: str) -> bool:
@@ -316,76 +293,45 @@ def _is_lower_word(word: str) -> bool:
     return False
 
 
-def _plain_words(words: list[str]) -> str:
-    return strip_latex(" ".join(words)) if words else ""
-
-
-def _person_from_parts(first: list[str], von: list[str], last: list[str],
-                       suffix: list[str]) -> PersonName:
-    """Build a name from its parts' words, their LaTeX stripped."""
-    return PersonName(_plain_words(last), _plain_words(first), _plain_words(von),
-                      _plain_words(suffix))
-
-
-def _split_von_last(words: list[str]) -> tuple[list[str], list[str]]:
-    """Split ``von Last`` words: the particle runs to the last lowercase word."""
-    lowers = [i for i, w in enumerate(words[:-1]) if _is_lower_word(w)]
-    if not lowers:
-        return [], words
-    return words[lowers[0]:lowers[-1] + 1], words[lowers[-1] + 1:]
-
-
-def _parse_one_name(words: list[str], parts: list[list[str]]) -> PersonName:
-    if len(words) == 1 and words[0][0] == "{" and words[0][-1] == "}":
-        inner, depth = words[0][1:-1], 0
-        for c in inner:  # the outer braces must be one group
-            depth += c == "{"
-            depth -= c == "}"
-            if depth < 0:
-                break
-        else:
-            if depth == 0:
-                return PersonName(literal=strip_latex(inner))
-    if len(parts) == 1:  # First von Last
-        tokens = parts[0]
-        i = next((i for i, w in enumerate(tokens[:-1]) if _is_lower_word(w)),
-                 len(tokens) - 1)
-        von, last = _split_von_last(tokens[i:])
-        return _person_from_parts(tokens[:i], von, last, [])
-    left = parts[0]
-    if left and _is_lower_word(left[0]):
-        von, last = _split_von_last(left)
-    else:
-        von, last = [], left
-    if len(parts) == 2:
-        return _person_from_parts(parts[1], von, last, [])
-    first = [w for grp in parts[2:] for w in grp]
-    return _person_from_parts(first, von, last, parts[1])
-
-
-def _plain_name(words: list[str], text: str) -> PersonName:
-    """One name of a field with no brace and no LaTeX: the rules of
-    ``_parse_one_name`` on its words and their text, with no literal form."""
-    left, comma, right = text.partition(",")
+def _one_name(words: list[str], text: str, masked: str, special: bool) -> PersonName:
+    """One name from its words, their text joined by single spaces and that
+    text's mask, the same object when the name has no brace; ``special``
+    cleans each part with ``strip_latex``."""
+    # one word that is one brace group: a corporate literal
+    if len(words) == 1 and masked[0] == "{" and masked.find("}") == len(masked) - 1:
+        return PersonName(literal=strip_latex(text[1:-1]))
+    left, comma, right = masked.partition(",")
     if not comma:  # First von Last
         lowers = [i for i in range(len(words) - 1) if _is_lower_word(words[i])]
-        if not lowers:
-            return PersonName(words[-1], " ".join(words[:-1]))
-        von, last = lowers[0], lowers[-1] + 1
-        return PersonName(" ".join(words[last:]), " ".join(words[:von]),
-                          " ".join(words[von:last]))
-    last = left.split()
-    von = ""
-    if last and _is_lower_word(last[0]):
-        lowers = [i for i in range(len(last) - 1) if _is_lower_word(last[i])]
-        if lowers:
-            von = " ".join(last[:lowers[-1] + 1])
-            last = last[lowers[-1] + 1:]
-    if "," not in right:  # von Last, First
-        return PersonName(" ".join(last), right.strip(), von)
-    suffix, _, first = right.partition(",")  # von Last, Jr, First
-    return PersonName(" ".join(last), " ".join(first.replace(",", " ").split()), von,
-                      suffix.strip())
+        von, last = (lowers[0], lowers[-1] + 1) if lowers else (len(words) - 1,) * 2
+        family, given, particle, suffix = (" ".join(words[last:]), " ".join(words[:von]),
+                                           " ".join(words[von:last]), "")
+    else:
+        braced = masked is not text
+        last = _cut(text[:len(left)], left) if braced else left.split()
+        particle = ""
+        if last and _is_lower_word(last[0]):
+            lowers = [i for i in range(len(last) - 1) if _is_lower_word(last[i])]
+            if lowers:
+                particle = " ".join(last[:lowers[-1] + 1])
+                last = last[lowers[-1] + 1:]
+        family = " ".join(last)
+        suffix, comma, first = right.partition(",")
+        if not comma:  # von Last, First
+            suffix, first = "", suffix
+        if braced:  # the original at the same place
+            start = len(text) - len(first)
+            given = " ".join(_cut(text[start:], first.replace(",", " ")))
+            if suffix:
+                suffix = " ".join(_cut(text[len(left) + 1:start - 1], suffix))
+        elif comma:
+            given, suffix = " ".join(first.replace(",", " ").split()), suffix.strip()
+        else:
+            given = first.strip()
+    if special:
+        return PersonName(strip_latex(family), given and strip_latex(given),
+                          particle and strip_latex(particle), suffix and strip_latex(suffix))
+    return PersonName(family, given, particle, suffix)
 
 
 def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
@@ -394,27 +340,42 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
     Names are separated by the word ``and`` at brace depth zero and follow
     the ``First von Last``, ``von Last, First`` and ``von Last, Jr, First``
     forms; a fully braced name is taken as a corporate literal.  A trailing
-    ``and others`` sets the truncation flag.  A field with no brace and no
-    LaTeX takes the brace-free path: its ``str.split`` words are cut at
-    each ``and`` and then at commas, and a word's case is its first
-    letter's.  Any other field is walked character by character.
+    ``and others`` sets the truncation flag.  The field is read through its
+    mask (``_mask``): words and commas are found with ``str`` methods on the
+    masked text, and each piece is cut from the original at the same place.
+    A word's case is that of its first letter at depth zero.
     """
-    if not _has_special(value):
-        pieces, parse_one = _split_plain_names(value), _plain_name
-    else:
-        pieces, parse_one = _scan_names(value), _parse_one_name
-    last_words = pieces[-1][0]
-    truncated = len(last_words) == 1 and last_words[0].lower() == "others"
+    masked = _mask(value)
+    special = _has_special(value)
+    words: list[str] = []
+    groups = [words]
+    for word in masked.split():
+        # only a three-letter word lowercases to "and"
+        if len(word) == 3 and word.lower() == "and":
+            words = []
+            groups.append(words)
+        else:
+            words.append(word)
+    truncated = len(words) == 1 and words[0].lower() == "others"
     if truncated:
-        pieces.pop()
-        if not pieces:
+        groups.pop()
+        if not groups:
             raise NameParseError("empty name at position 0", 0)
+    # a braced field's words are cut from the original all at once, in
+    # order, since two names can mask to the same text
+    cut = _cut(value, masked) if masked is not value else None
     names = []
-    for index, (words, parts) in enumerate(pieces):
+    end = 0  # the first cut word of the next name
+    for index, words in enumerate(groups):
         if not words:
             raise NameParseError(f"empty name at position {index}", index)
+        text = masked_text = " ".join(words)
+        if cut is not None:
+            words = cut[end:end + len(words)]
+            end += len(words) + 1
+            text = " ".join(words)
         try:
-            names.append(parse_one(words, parts))
+            names.append(_one_name(words, text, masked_text, special))
         except ValueError as exc:
             raise NameParseError(
                 f"unusable name at position {index}: {exc}", index) from exc
@@ -451,7 +412,7 @@ _CIRCA_RANGE_RE = re.compile(r"c(\d{4})-(\d{2}|\d{4})")
 
 def parse_month(value: str) -> int | None:
     value = value.strip()
-    if value.isdigit() and 1 <= int(value) <= 12:
+    if value.isascii() and value.isdigit() and 1 <= int(value) <= 12:
         return int(value)
     return _MONTH_NUMBERS.get(value.lower())
 
@@ -781,8 +742,7 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     the record's default; only ``inpress`` reads its empty text, as "in
     press".  Rows are read in the order the entry first names one of their
     fields, ``date`` last.  The contributor roles are read in ``Role``
-    order by :func:`parse_names`, whose brace-free path takes every name
-    field with no brace and no LaTeX; in reports and patents ``number`` is
+    order by :func:`parse_names`; in reports and patents ``number`` is
     the document number.  The record is built positionally from
     ``_DEFAULTS``.  Every diagnostic points at the entry's ``@``
     (``raw.span[0]``).

@@ -835,6 +835,15 @@ class TestMainAndConfig:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[0] == "1 uniform"
 
+    @pytest.mark.parametrize("command", [["check"], ["format", "--all"]])
+    def test_a_non_ascii_digit_month_is_ignored(self, tmp_path, capsys, command):
+        bib = tmp_path / "month.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       " year={2001}, month={\u00b9}}\n", encoding="utf-8")
+        assert main([*command, "--bib", str(bib)]) == 0
+        assert capsys.readouterr().err == (
+            f"{bib}:1:1: warning: month '\u00b9' ignored [unparsed-date]\n")
+
     def test_zero_max_authors_is_rejected(self, capsys):
         code = main(["format", "--bib", str(BIB_PATH), "--all",
                      "--max-authors", "0"])
