@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .bibtex import RawEntry, parse_database
 from .citescan import CitationIndex, scan_citations, resolve
@@ -119,29 +119,43 @@ def _scan_manuscript(path: str, reporter: _Reporter
     return index, lines
 
 
-def _reference(entry: RawEntry, source: Source, reporter: _Reporter,
-               style: StyleConfig) -> str | None:
-    """Normalize, lint and render one entry, or report why it cannot render.
+# Entries are normalized a batch at a time, then linted and rendered in
+# order: one stage over many entries runs faster than every stage on one
+# entry before the next.  CLI ``inproc_s`` on thesis-all-cited (2,400
+# entries, 2 vCPUs) by batch size: 1 0.0992 s, 16 0.0906-0.0915 s,
+# 64 0.0876 s, 256 0.0885-0.0890 s, the whole list 0.0894-0.0899 s.
+_BATCH = 64
 
-    Every diagnostic points into the entry's own file.
+
+def _references(entries: list[RawEntry], sources: dict[str, Source],
+                reporter: _Reporter, style: StyleConfig
+                ) -> Iterator[str | None]:
+    """Each entry's reference text, or ``None`` where it cannot render.
+
+    Diagnostics keep their order: each entry's normalize diagnostics, then
+    its ``unknown-field`` lint, then its ``render`` error, before the next
+    entry's.  Every diagnostic points into the entry's own file.
     """
-    record, diags = normalize(entry)
-    for diag in diags:
-        reporter.emit(diag, *source)
-    known = TEMPLATES[record.entry_type].fields
-    for name in entry.fields:
-        if name not in known:
-            reporter.emit(warning(
-                "unknown-field",
-                f"entry '{entry.key}': field '{name}' not used by "
-                f"entry type '{record.entry_type.value}'",
-                entry.span[0]), *source)
-    try:
-        return render_reference(record, style)
-    except RenderError as exc:
-        reporter.emit(error("render", f"entry '{entry.key}': {exc}",
-                            entry.span[0]), *source)
-        return None
+    for start in range(0, len(entries), _BATCH):
+        batch = entries[start:start + _BATCH]
+        for entry, (record, diags) in zip(batch, [normalize(e) for e in batch]):
+            source = sources[entry.key]
+            for diag in diags:
+                reporter.emit(diag, *source)
+            known = TEMPLATES[record.entry_type].fields
+            for name in entry.fields:
+                if name not in known:
+                    reporter.emit(warning(
+                        "unknown-field",
+                        f"entry '{entry.key}': field '{name}' not used by "
+                        f"entry type '{record.entry_type.value}'",
+                        entry.span[0]), *source)
+            try:
+                yield render_reference(record, style)
+            except RenderError as exc:
+                reporter.emit(error("render", f"entry '{entry.key}': {exc}",
+                                    entry.span[0]), *source)
+                yield None
 
 
 _MARKDOWN_SPECIALS = re.compile(r"([\\`*_\[\]<>])")
@@ -201,10 +215,10 @@ def cmd_format(config: RunConfig, stdout=None, stderr=None) -> int:
     # the manuscript is not kept alive while the references render
     del scanned, index, tex_lines
 
-    style = config.style()
+    texts = _references([entry for _, entry in pairs], sources, reporter,
+                        config.style())
     lines = []
-    for number, entry in pairs:
-        text = _reference(entry, sources[entry.key], reporter, style)
+    for (number, _), text in zip(pairs, texts):
         if text is None:
             continue
         if config.output_format == "markdown":
@@ -222,9 +236,8 @@ def cmd_check(config: RunConfig, stdout=None, stderr=None) -> int:
     if loaded is None:
         return EXIT_IO
     entries, sources = loaded
-    style = config.style()
-    for entry in entries:
-        _reference(entry, sources[entry.key], reporter, style)
+    for _ in _references(entries, sources, reporter, config.style()):
+        pass
     print(f"checked {len(entries)} entries: "
           f"{reporter.errors} errors, {reporter.warnings} warnings",
           file=stdout)

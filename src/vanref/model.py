@@ -250,14 +250,18 @@ def _mask(value: str) -> str:
     out = []
     start = 0  # the text from here on is kept as it is
     while i >= 0:  # a top-level group opens at i
-        depth, end = 1, i + 1
-        while depth:
-            m = _BRACE_JUMP_RE.search(value, end)
-            if m is None:  # never closed: blank to the end
-                out += value[start:i + 1], "\0" * (len(value) - i - 1)
-                return "".join(out)
-            end = m.end()
-            depth += 1 if m[0] == "{" else -1
+        end = value.find("}", i) + 1  # 0: no ``}`` follows, never closed
+        inner = value.find("{", i + 1, end)
+        if inner >= 0:  # a nested group: count the braces from the inner one
+            depth, end = 2, inner + 1
+            while depth and (m := _BRACE_JUMP_RE.search(value, end)):
+                end = m.end()
+                depth += 1 if m[0] == "{" else -1
+            if depth:
+                end = 0
+        if not end:  # never closed: blank to the end
+            out += value[start:i + 1], "\0" * (len(value) - i - 1)
+            return "".join(out)
         out += value[start:i + 1], "\0" * (end - i - 2)
         start = end - 1
         i = value.find("{", end)

@@ -2,21 +2,23 @@
 
 import io
 import os
+import random
 import re
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from vanref import RawEntry, StyleConfig, render_reference, resolve
+from vanref import RawEntry, StyleConfig, cli, render_reference, resolve
 from vanref.bibtex import serialize_entry
 from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
-from vanref.diagnostics import Diagnostic
-from vanref.model import UNPRINTED_FIELDS, Role, map_entry_type
-from vanref.render import TEMPLATES
+from vanref.diagnostics import Diagnostic, error, warning
+from vanref.model import UNPRINTED_FIELDS, Role, map_entry_type, normalize
+from vanref.render import TEMPLATES, RenderError
 
 DATA_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -613,6 +615,106 @@ class TestCheck:
         check_code, _, check_err = run_check(bib_paths=paths, strict=strict)
         assert format_err == check_err
         assert format_code == check_code
+
+
+def one_at_a_time(entries, sources, reporter, style):
+    """Oracle for ``cli._references``: each entry normalized, linted and
+    rendered before the next one is read."""
+    for entry in entries:
+        source = sources[entry.key]
+        record, diags = normalize(entry)
+        for diag in diags:
+            reporter.emit(diag, *source)
+        known = TEMPLATES[record.entry_type].fields
+        for name in entry.fields:
+            if name not in known:
+                reporter.emit(warning(
+                    "unknown-field",
+                    f"entry '{entry.key}': field '{name}' not used by "
+                    f"entry type '{record.entry_type.value}'",
+                    entry.span[0]), *source)
+        try:
+            yield render_reference(record, style)
+        except RenderError as exc:
+            reporter.emit(error("render", f"entry '{entry.key}': {exc}",
+                                entry.span[0]), *source)
+            yield None
+
+
+def write_numbered(corpus_db, defects, folder, split=0):
+    """Corpus entries in order, one per defect, with keys made unique by
+    their index, in two files cut at ``split``; return paths and keys."""
+    corpus = corpus_db.entries
+    entries = []
+    for i in range(len(defects)):
+        base = corpus[i % len(corpus)]
+        entries.append(RawEntry(base.entry_type, f"{base.key}-{i}", base.fields))
+    texts = [inject(entry, defect) for entry, defect in zip(entries, defects)]
+    paths = [folder / "a.bib", folder / "b.bib"]
+    for path, part in zip(paths, (texts[:split], texts[split:])):
+        path.write_text("".join(part), encoding="utf-8")
+    return [str(path) for path in paths], [entry.key for entry in entries]
+
+
+def at_boundaries(count):
+    """``count`` defects around the first batch boundaries: an unknown field
+    before an empty name in one batch, and a render error on the first
+    batch's last entry before a missing date on the second batch's first."""
+    placed = {0: "unknown-field", 1: "and-and", 63: "no-title", 64: "no-date"}
+    return [placed.get(i, "none") for i in range(count)]
+
+
+class TestBatches:
+
+    # capped for every profile: an example runs six commands on up to 200
+    # entries, about 8 s in all on a 2-vCPU machine
+    @settings(max_examples=300, deadline=None)
+    @given(defects=st.integers(0, 200).flatmap(lambda n: st.lists(
+               st.sampled_from(DEFECTS), min_size=n, max_size=n)),
+           split=st.integers(0, 200), order=st.randoms(use_true_random=False))
+    @example(defects=at_boundaries(63), split=0, order=random.Random(0))
+    @example(defects=at_boundaries(64), split=0, order=random.Random(1))
+    @example(defects=at_boundaries(65), split=64, order=random.Random(2))
+    @example(defects=at_boundaries(129), split=30, order=random.Random(3))
+    def test_batches_match_one_entry_at_a_time(self, corpus_db, tmp_path_factory,
+                                               defects, split, order):
+        paths, keys = write_numbered(corpus_db, defects,
+                                     tmp_path_factory.mktemp("batches"), split)
+        shuffled = order.sample(keys, order.randint(0, len(keys)))
+
+        def run_all():
+            return (run_check(bib_paths=paths), run_format(bib_paths=paths),
+                    run_format(bib_paths=paths, keys=shuffled))
+
+        batched = run_all()
+        with mock.patch.object(cli, "_references", one_at_a_time):
+            assert batched == run_all()
+
+    def test_check_normalizes_at_most_one_batch_ahead(self, corpus_db, tmp_path,
+                                                      monkeypatch):
+        paths, _ = write_numbered(corpus_db, ["no-date"] + ["none"] * 199, tmp_path)
+        calls = 0
+
+        def counted(entry):
+            nonlocal calls
+            calls += 1
+            return normalize(entry)
+
+        class FirstWrite(io.StringIO):
+            calls_then = None
+
+            def write(self, text):
+                if self.calls_then is None:
+                    self.calls_then = calls
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "normalize", counted)
+        err = FirstWrite()
+        assert cmd_check(RunConfig(bib_paths=paths), io.StringIO(), err) == 0
+        # the first entry's missing-date waits for its batch, and no longer
+        assert err.getvalue().count("[missing-date]") == 1
+        assert 1 < err.calls_then <= cli._BATCH
+        assert calls == 200
 
 
 class TestMonographs:
