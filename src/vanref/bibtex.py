@@ -9,12 +9,13 @@ removed and macros expanded; ``strip_latex`` cleans a value where it is read.
 Most entries are read by one regex match: ``_ENTRY`` takes the entry's
 head and its leading run of plain fields (``name = {value}`` with braces at
 most one level deep, or ``name = word``) and builds the field dict from its
-groups.  Recursive descent reads everything else from where the match
-stopped: quoted values, ``#``, deeper braces, fields past the unrolled
-count, the closing delimiter and syntax errors, and whole ``@string``,
-``@preamble`` and ``@comment`` blocks.  An entry whose run repeats a field
-name is read by recursive descent from its ``@``, so every diagnostic comes
-out at the same offset and in the same order either way.
+groups; a run that repeats a field name is read group by group in field
+order, so the first value wins and every diagnostic comes out at the same
+offset and in the same order as recursive descent would give.  Recursive
+descent reads everything else from where the match stopped: quoted values,
+``#``, deeper braces, fields past the unrolled count, the closing delimiter
+and syntax errors, and whole ``@string``, ``@preamble`` and ``@comment``
+blocks.
 """
 
 from __future__ import annotations
@@ -179,17 +180,26 @@ class _Parser:
         if m is None or (entry_type := m[1].lower()) in _BLOCKS:
             return self._parse_general(at)
         g = m.groups()
+        key = g[1] or g[2]
         names = [*map(str.lower, filter(None, g[3:-1:3]))]
         fields = dict(zip(names, g[4::3]))
         if len(fields) < len(names):
-            # a duplicate field: the general path reports it in its place
-            # among the entry's undefined macros
-            return self._parse_general(at)
-        if any(g[5::3]):
+            # a duplicate field: read the run in order, as _parse_fields
+            # would, so that the first value wins and each warning comes
+            # in its place among the entry's undefined macros
+            fields = {}
+            for j, name in enumerate(names):
+                value = g[3 * j + 4]
+                if value is None:
+                    value = self._expand(g[3 * j + 5], m.start(3 * j + 6))
+                if name in fields:
+                    self._duplicate_field(name, key, m.start(3 * j + 4))
+                else:
+                    fields[name] = value
+        elif any(g[5::3]):
             for j, word in enumerate(g[5::3]):
                 if word is not None:
                     fields[names[j]] = self._expand(word, m.start(3 * j + 6))
-        key = g[1] or g[2]
         i = m.end()
         if g[-1] is None:  # not closed yet: go on field by field
             i = self._parse_fields(key, fields, i, "}" if g[1] else ")")
@@ -267,14 +277,17 @@ class _Parser:
             i = _skip_space(text, i)
             name = name.lower()
             if name in fields:
-                self.db.diagnostics.append(warning(
-                    "duplicate-field",
-                    f"duplicate field '{name}' in entry '{key}' ignored",
-                    m.start("name"),
-                ))
+                self._duplicate_field(name, key, m.start("name"))
             else:
                 fields[name] = value
         return i
+
+    def _duplicate_field(self, name: str, key: str, at: int) -> None:
+        self.db.diagnostics.append(warning(
+            "duplicate-field",
+            f"duplicate field '{name}' in entry '{key}' ignored",
+            at,
+        ))
 
     def _add_entry(self, entry_type: str, key: str, fields: dict[str, str],
                    at: int, end: int) -> int:

@@ -297,13 +297,17 @@ def _is_lower_word(word: str) -> bool:
     return False
 
 
-def _one_name(words: list[str], text: str, masked: str, special: bool) -> PersonName:
-    """One name from its words, their text joined by single spaces and that
-    text's mask, the same object when the name has no brace; ``special``
-    cleans each part with ``strip_latex``."""
+def _one_name(words: list[str], text: str, masked: str, special: bool,
+              index: int) -> PersonName:
+    """Name ``index`` of a field from its words, their text joined by single
+    spaces and that text's mask, the same object when the name has no brace;
+    ``special`` cleans each part with ``strip_latex``."""
     # one word that is one brace group: a corporate literal
     if len(words) == 1 and masked[0] == "{" and masked.find("}") == len(masked) - 1:
-        return PersonName(literal=strip_latex(text[1:-1]))
+        literal = strip_latex(text[1:-1])
+        if not literal:  # {} or { }
+            raise NameParseError(f"empty name at position {index}", index)
+        return PersonName(literal=literal)
     left, comma, right = masked.partition(",")
     if not comma:  # First von Last
         lowers = [i for i in range(len(words) - 1) if _is_lower_word(words[i])]
@@ -379,7 +383,9 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
             end += len(words) + 1
             text = " ".join(words)
         try:
-            names.append(_one_name(words, text, masked_text, special))
+            names.append(_one_name(words, text, masked_text, special, index))
+        except NameParseError:
+            raise
         except ValueError as exc:
             raise NameParseError(
                 f"unusable name at position {index}: {exc}", index) from exc
@@ -400,10 +406,11 @@ def initials(given: str) -> str:
 # ---------------------------------------------------------------------------
 # dates
 
-# Each month's full name and abbreviation, lowercased, to its number.
+# Each month's full name and abbreviation, lowercased, and its number
+# written without leading zeros, to its number.
 _MONTH_NUMBERS = {name: number for number, (abbreviation, full) in
                   enumerate(MONTH_MACROS.items(), start=1)
-                  for name in (abbreviation, full.lower())}
+                  for name in (abbreviation, full.lower(), str(number))}
 
 _DATE_RE = re.compile(
     r"(c?)(\d{4})"
@@ -416,8 +423,8 @@ _CIRCA_RANGE_RE = re.compile(r"c(\d{4})-(\d{2}|\d{4})")
 
 def parse_month(value: str) -> int | None:
     value = value.strip()
-    if value.isascii() and value.isdigit() and 1 <= int(value) <= 12:
-        return int(value)
+    if value.isascii() and value.isdigit():  # "07" reads as "7", with no int()
+        value = value.lstrip("0")
     return _MONTH_NUMBERS.get(value.lower())
 
 
@@ -462,6 +469,17 @@ _ROMAN_RANGE_RE = re.compile(f"({_ROMAN})\\s*-\\s*({_ROMAN})")
 _DIGIT_RANGE_RE = re.compile(r"(\d+)\s*-\s*(\d+)")
 
 
+def digit_order(digits: str) -> tuple[int, str]:
+    """A key that orders digit strings by value, read without ``int()``.
+
+    ``int()`` refuses a string of more than 4,300 digits.  With leading
+    zeros stripped, the longer string is the larger, and strings of one
+    length compare as text.
+    """
+    significant = digits.lstrip("0")
+    return len(significant), significant
+
+
 def complete_page(first: str, last: str) -> str:
     """Fill an NLM-abbreviated ending page from the starting page's digits."""
     if len(last) >= len(first):
@@ -477,7 +495,7 @@ def parse_pages(value: str) -> PageExtent:
     m = _DIGIT_RANGE_RE.fullmatch(s)
     if m:
         first, last = m.groups()
-        if int(complete_page(first, last)) >= int(first):
+        if digit_order(complete_page(first, last)) >= digit_order(first):
             return PageExtent(PageKind.NUMERIC_RANGE, first, last)
         return PageExtent(PageKind.TEXT, text=s)
     m = _ROMAN_RANGE_RE.fullmatch(s)

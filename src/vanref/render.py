@@ -35,6 +35,7 @@ from .model import (
     Role,
     _Checked,
     complete_page,
+    digit_order,
     initials,
     printed_qualifier,
 )
@@ -107,9 +108,9 @@ def compress_page_range(first: str, last: str) -> str:
     """
     if not first.isdigit() or not last.isdigit():
         raise InvalidRange(f"page range {first!r}-{last!r} is not numeric")
-    a, b = int(first), int(last)
+    a, b = digit_order(first), digit_order(last)
     if b < a:
-        raise InvalidRange(f"page range {a}-{b} decreases")
+        raise InvalidRange(f"page range {first}-{last} decreases")
     if a == b:
         return first
     if len(first) != len(last):

@@ -2,6 +2,7 @@
 
 import re
 import time
+from unittest import mock
 
 from hypothesis import example, given, strategies as st
 
@@ -19,6 +20,7 @@ from vanref.bibtex import (
     _QUOTE_JUMP_RE,
     _SPECIAL_RE,
     _TYPE_RE,
+    _Parser,
     _flatten,
     _has_special,
     _skip_junk,
@@ -317,7 +319,8 @@ _LATEX_ALPHABET = "\\${}-- aA*&%_#\n\t\xa0"
 _BIB_TOKENS = (
     list('@{}()",=#% \n\t\xa0\x0b0123456789')
     + ["article", "string", "comment", "preamble", "jan", "xundef",
-       "@article{k, t=", "@article{k", "{a}", ", t={x}", ", u=jan", ", v=12"]
+       "@article{k, t=", "@article{k", "{a}", ", t={x}", ", T={y}", ", u=jan",
+       ", v=12"]
 )
 
 
@@ -459,6 +462,15 @@ class TestParseDatabase:
         assert db.entries[0].fields["t"] == "one"
         assert [d.code for d in db.diagnostics] == ["duplicate-field"]
 
+    def test_duplicate_in_a_plain_run_is_read_from_the_match(self):
+        # the entry is not read again from its '@' by the general path
+        with mock.patch.object(_Parser, "_parse_general", side_effect=AssertionError):
+            db = parse_database("@misc{k, t={one}, T=jan, u=12, t={two}}")
+        assert db.entries[0].fields == {"t": "one", "u": "12"}
+        assert db.diagnostics == [
+            warning("duplicate-field", "duplicate field 't' in entry 'k' ignored", 18),
+            warning("duplicate-field", "duplicate field 't' in entry 'k' ignored", 31)]
+
     def test_malformed_entry_skipped_parsing_continues(self):
         db = parse_database("@misc{broken, t = }\n@misc{ok, t={v}}")
         assert [e.key for e in db.entries] == ["ok"]
@@ -498,6 +510,13 @@ class TestParseDatabase:
     # a duplicate field and undefined macros inside a run of plain fields
     @example("@a{k, t=xundef, t={y}, u=yundef, U=jan}")
     @example("@a{k, t={x}, T=xundef}")
+    # a duplicate whose value is a defined macro, an undefined one or a number
+    @example("@a{k, t={x}, T=jan, u=1, t=xundef, U=12}")
+    # a duplicate differing only in case, last before the close
+    @example("@a{k, t={x}, u={y}, T={z}}")
+    @example("@a(k, u=jan, U={z},)")
+    # a run that repeats a name and is not closed, then repeats it after the run
+    @example('@a{k, t={x}, t=xundef, u="q", t={z}, T=yundef}')
     # more plain fields than one match takes, then a duplicate after them
     @example("@a{k" + "".join(f", f{i}={{v{i}}}" for i in range(40)) + ", f3=x}")
     # a run ended by a quoted value, by '#' and by braces two deep

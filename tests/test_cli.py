@@ -354,6 +354,18 @@ class TestCheck:
         assert err == (f"{bib}:1:1: error: entry 'k': bad author field: "
                        "empty name at position 0 [empty-name]\n")
 
+    @pytest.mark.parametrize("names,position", [
+        ("{}", 0), ("Smith, J and { }", 1), ("Smith, J and {{}}", 1)])
+    def test_empty_braced_name_is_empty_name(self, tmp_path, names, position):
+        bib = tmp_path / "empty.bib"
+        bib.write_text(f"@article{{k, author={{{names}}}, title={{T}}, "
+                       "journal={J}, year={2000}}", encoding="utf-8")
+        code, out, err = run_check(bib_paths=[str(bib)])
+        assert code == 1
+        assert out == "checked 1 entries: 1 errors, 0 warnings\n"
+        assert err == (f"{bib}:1:1: error: entry 'k': bad author field: "
+                       f"empty name at position {position} [empty-name]\n")
+
     def test_shadowed_fields_warn(self, tmp_path):
         bib = tmp_path / "shadow.bib"
         bib.write_text(
@@ -945,6 +957,30 @@ class TestMainAndConfig:
         assert main([*command, "--bib", str(bib)]) == 0
         assert capsys.readouterr().err == (
             f"{bib}:1:1: warning: month '\u00b9' ignored [unparsed-date]\n")
+
+    # int() refuses a string of more than 4,300 digits
+    @pytest.mark.parametrize("command", [["check"], ["format", "--all"]])
+    def test_a_5000_digit_page_range_renders(self, tmp_path, capsys, command):
+        ones = "1" * 5000
+        bib = tmp_path / "pages.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       f" year={{2001}}, pages={{{ones}-2}}}}\n", encoding="utf-8")
+        assert main([*command, "--bib", str(bib)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == (
+            "checked 1 entries: 0 errors, 0 warnings\n" if command == ["check"]
+            else f"1. Smith J. T. J. 2001:{ones}-2.\n")
+
+    @pytest.mark.parametrize("command", [["check"], ["format", "--all"]])
+    def test_a_5000_digit_month_is_ignored(self, tmp_path, capsys, command):
+        ones = "1" * 5000
+        bib = tmp_path / "month.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       f" year={{2001}}, month={{{ones}}}}}\n", encoding="utf-8")
+        assert main([*command, "--bib", str(bib)]) == 0
+        assert capsys.readouterr().err == (
+            f"{bib}:1:1: warning: month '{ones}' ignored [unparsed-date]\n")
 
     def test_zero_max_authors_is_rejected(self, capsys):
         code = main(["format", "--bib", str(BIB_PATH), "--all",

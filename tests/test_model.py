@@ -131,7 +131,7 @@ def _ref_split_von_last(words):
     return words[von_start:von_end + 1], words[von_end + 1:]
 
 
-def _ref_parse_one_name(piece):
+def _ref_parse_one_name(piece, index):
     stripped = piece.strip()
     if stripped.startswith("{") and stripped.endswith("}"):
         inner, depth = stripped[1:-1], 0
@@ -142,6 +142,8 @@ def _ref_parse_one_name(piece):
                 break
         else:
             if depth == 0:
+                if not strip_latex(inner):
+                    raise NameParseError(f"empty name at position {index}", index)
                 return PersonName(literal=strip_latex(inner))
     words = _ref_split_depth0(stripped)
     parts = _ref_split_commas_depth0(words)
@@ -184,7 +186,9 @@ def _ref_parse_names(value):
         if not piece:
             raise NameParseError(f"empty name at position {index}", index)
         try:
-            names.append(_ref_parse_one_name(" ".join(piece)))
+            names.append(_ref_parse_one_name(" ".join(piece), index))
+        except NameParseError:
+            raise
         except ValueError as exc:
             raise NameParseError(
                 f"unusable name at position {index}: {exc}", index) from exc
