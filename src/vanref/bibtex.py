@@ -15,12 +15,14 @@ offset and in the same order as recursive descent would give.  Recursive
 descent reads everything else from where the match stopped: quoted values,
 ``#``, deeper braces, fields past the unrolled count, the closing delimiter
 and syntax errors, and whole ``@string``, ``@preamble`` and ``@comment``
-blocks.
+blocks.  From Python 3.11 the match's runs are possessive: the same
+matches, with no backtracking point kept; 3.10 builds the plain pattern.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, error, warning
@@ -53,6 +55,13 @@ _KEY_PAREN_RE = re.compile(r"[^,\s()]+")
 _SPACE = r"\s*"
 _SPACE_RE = re.compile(_SPACE)
 _HASH_RE = re.compile(_SPACE + "#" + _SPACE)
+# Each run marked possessive (``*+``, ``++``) in ``_ENTRY`` and
+# ``citescan._CITE_RE`` is followed only by what it cannot match (a space run
+# by a non-space, a type, key or name by a character outside it, braced text
+# by a brace), so giving a character back never lets the rest match.  re
+# reads the mark from Python 3.11; 3.10 rejects it and builds the plain one.
+_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
+_SPACE_RUN = _SPACE + _POSSESSIVE
 # One field in the general loop: ``, name =`` and the space after it.
 # After the comma each part is optional, and the first one missing says
 # which syntax error to report.
@@ -72,21 +81,22 @@ _FIELD_RE = re.compile(
 # about a quarter faster here.  Groups: 1 type, 2 key after '{', 3 key after
 # '(', then per field 3k + 4 name, 3k + 5 braced value, 3k + 6 word, and
 # last ``closed``.
+_BRACED = "[^{}]*" + _POSSESSIVE
 _PLAIN_FIELD = (
-    "," + _SPACE + "(" + _NAME + ")" + _SPACE + "=" + _SPACE
-    + r"(?:\{([^{}]*(?:\{[^{}]*\}[^{}]*)*)\}"
-    + "|(" + _NAME + ")(?!" + _NAME_CHAR + "))"
-    + "(?!" + _SPACE + "#)" + _SPACE
+    "," + _SPACE_RUN + "(" + _NAME + _POSSESSIVE + ")" + _SPACE_RUN + "=" + _SPACE_RUN
+    + r"(?:\{(" + _BRACED + r"(?:\{" + _BRACED + r"\}" + _BRACED + ")*" + _POSSESSIVE + r")\}"
+    + "|(" + _NAME + _POSSESSIVE + ")(?!" + _NAME_CHAR + "))"
+    + "(?!" + _SPACE_RUN + "#)" + _SPACE_RUN
 )
 _PLAIN_RUN = 12  # fields per match; the rest go through the general loop
 # Compiled by each ``parse_database`` call, which re's cache makes one
 # lookup after the first, so that importing vanref does not pay for it.
 _ENTRY = (
-    "@" + _SPACE + "(" + _TYPE_RE.pattern + ")" + _SPACE
-    + r"(?:\{" + _SPACE + "(" + _KEY_BRACE_RE.pattern + ")"
-    + r"|\(" + _SPACE + "(" + _KEY_PAREN_RE.pattern + "))" + _SPACE
-    + ("(?:" + _PLAIN_FIELD) * _PLAIN_RUN + "|)" * _PLAIN_RUN
-    + "(?P<closed>(?:," + _SPACE + r")?(?(2)\}|\)))?"
+    "@" + _SPACE_RUN + "(" + _TYPE_RE.pattern + _POSSESSIVE + ")" + _SPACE_RUN
+    + r"(?:\{" + _SPACE_RUN + "(" + _KEY_BRACE_RE.pattern + _POSSESSIVE + ")"
+    + r"|\(" + _SPACE_RUN + "(" + _KEY_PAREN_RE.pattern + _POSSESSIVE + "))"
+    + _SPACE_RUN + ("(?:" + _PLAIN_FIELD) * _PLAIN_RUN + "|)" * _PLAIN_RUN
+    + "(?P<closed>(?:," + _SPACE_RUN + r")?(?(2)\}|\)))?"
 )
 _BLOCKS = ("comment", "preamble", "string")
 
@@ -237,7 +247,7 @@ class _Parser:
     def _parse_string(self, i: int, close: str) -> int:
         text = self.text
         m = _NAME_RE.match(text, i)
-        if m is None or m.group(0).isdigit():
+        if m is None or (m[0].isascii() and m[0].isdigit()):
             raise BibtexSyntaxError("expected macro name in @string", i)
         name = m.group(0).lower()
         i = self._expect(_skip_space(text, m.end()), "=")
@@ -328,7 +338,7 @@ class _Parser:
 
     def _expand(self, word: str, at: int) -> str:
         """A bare word's value: a number as written, or its macro's text."""
-        if word.isdigit():
+        if word.isascii() and word.isdigit():
             return word
         expansion = self.db.macros.get(word.lower())
         if expansion is None:
@@ -459,7 +469,7 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
     is supplied.  Never fails.
     """
     if not _has_special(value):
-        return _flatten(value)
+        return " ".join(value.split())
     m = _SPECIAL_RE.search(value)
     out: list[str] = []
     i = 0

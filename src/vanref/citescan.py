@@ -5,15 +5,16 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple, Protocol, TypeVar
 
+from .bibtex import _POSSESSIVE as _P, _SPACE_RUN as _S
 from .diagnostics import Diagnostic, warning
 
 _KEY = r"[A-Za-z0-9.:*+/_-]+"
 _KEY_RE = re.compile(_KEY)
 # A ``\cite`` and its brace group.  Group 1 is set when the group is a list
 # of well-formed keys, each with optional space around it; group 2 holds any
-# other group, which is checked key by key.
+# other group, which is checked key by key.  Runs are possessive as in bibtex.
 _CITE_RE = re.compile(
-    rf"\\cite\s*\{{(?:(\s*{_KEY}\s*(?:,\s*{_KEY}\s*)*)|([^{{}}]*))\}}")
+    rf"\\cite{_S}\{{(?:({_S}{_KEY}{_P}{_S}(?:,{_S}{_KEY}{_P}{_S})*)|([^{{}}]*{_P}))\}}")
 
 
 class CitationIndex(NamedTuple):
@@ -69,7 +70,8 @@ def scan_citations(text: str) -> CitationIndex:
         keys, group = match.groups()
         offset = match.start()
         if keys is not None:
-            occurrences += [(key.strip(), offset) for key in keys.split(",")]
+            for key in keys.split(","):
+                occurrences.append((key.strip(), offset))
             continue
         if not group.strip():
             diagnostics.append(warning(

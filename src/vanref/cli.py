@@ -143,13 +143,14 @@ def _references(entries: list[RawEntry], sources: dict[str, Source],
             for diag in diags:
                 reporter.emit(diag, *source)
             known = TEMPLATES[record.entry_type].fields
-            for name in entry.fields:
-                if name not in known:
-                    reporter.emit(warning(
-                        "unknown-field",
-                        f"entry '{entry.key}': field '{name}' not used by "
-                        f"entry type '{record.entry_type.value}'",
-                        entry.span[0]), *source)
+            if not known.issuperset(entry.fields):
+                for name in entry.fields:
+                    if name not in known:
+                        reporter.emit(warning(
+                            "unknown-field",
+                            f"entry '{entry.key}': field '{name}' not used by "
+                            f"entry type '{record.entry_type.value}'",
+                            entry.span[0]), *source)
             try:
                 yield render_reference(record, style)
             except RenderError as exc:

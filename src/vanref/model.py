@@ -214,7 +214,7 @@ class BibRecord(NamedTuple):
     date_separator: str = ";"
 
     def lists(self, *roles: Role) -> tuple[ContributorList, ...]:
-        return tuple(c for c in self.contributors if c.role in roles)
+        return tuple([c for c in self.contributors if c.role in roles])
 
     def without(self, attrs: tuple[str, ...]) -> BibRecord:
         """A copy with ``attrs`` at their defaults; a date keeps its year."""
@@ -337,8 +337,10 @@ def _one_name(words: list[str], text: str, masked: str, special: bool,
         else:
             given = first.strip()
     if special:
-        return PersonName(strip_latex(family), given and strip_latex(given),
-                          particle and strip_latex(particle), suffix and strip_latex(suffix))
+        family, given, particle, suffix = (
+            part and strip_latex(part) for part in (family, given, particle, suffix))
+    if not family:  # "Jo {}", "{} , John", ", John": nothing is left of it
+        raise NameParseError(f"empty name at position {index}", index)
     return PersonName(family, given, particle, suffix)
 
 
@@ -413,12 +415,12 @@ _MONTH_NUMBERS = {name: number for number, (abbreviation, full) in
                   for name in (abbreviation, full.lower(), str(number))}
 
 _DATE_RE = re.compile(
-    r"(c?)(\d{4})"
+    r"(c?)([0-9]{4})"
     r"(?:\s+([A-Za-z]+)"
-    r"(?:\s+(\d{1,2})(?:\s*-\s*(\d{1,2}))?)?)?"
+    r"(?:\s+([0-9]{1,2})(?:\s*-\s*([0-9]{1,2}))?)?)?"
     r"(\s*-)?"
 )
-_CIRCA_RANGE_RE = re.compile(r"c(\d{4})-(\d{2}|\d{4})")
+_CIRCA_RANGE_RE = re.compile(r"c([0-9]{4})-([0-9]{2}|[0-9]{4})")
 
 
 def parse_month(value: str) -> int | None:
@@ -466,7 +468,7 @@ def parse_date(value: str,
 _ROMAN = r"[ivxlcdm]+"
 _ROMAN_RE = re.compile(_ROMAN)
 _ROMAN_RANGE_RE = re.compile(f"({_ROMAN})\\s*-\\s*({_ROMAN})")
-_DIGIT_RANGE_RE = re.compile(r"(\d+)\s*-\s*(\d+)")
+_DIGIT_RANGE_RE = re.compile(r"([0-9]+)\s*-\s*([0-9]+)")
 
 
 def digit_order(digits: str) -> tuple[int, str]:
@@ -490,7 +492,7 @@ def complete_page(first: str, last: str) -> str:
 def parse_pages(value: str) -> PageExtent:
     """Classify a pages field; unrecognized shapes pass through verbatim."""
     s = value.strip()
-    if s.isdecimal():  # as r"\d+" matches: all decimal digits (category Nd)
+    if s.isascii() and s.isdigit():
         return PageExtent(PageKind.SINGLE, s)
     m = _DIGIT_RANGE_RE.fullmatch(s)
     if m:
@@ -697,7 +699,7 @@ _QUALIFIER_VALUES = attrgetter(*QUALIFIERS)
 
 # The date row's winner: ``month`` and ``day`` are read only with ``year``.
 _DATE_OR_YEAR = FieldRow(BIB_FIELDS["date"].fields[:2])
-_DAY_RE = re.compile(r"(\d{1,2})(?:\s*-\s*(\d{1,2}))?")
+_DAY_RE = re.compile(r"([0-9]{1,2})(?:\s*-\s*([0-9]{1,2}))?")
 # The ``.bib`` fields of the hidden attributes: of the date, those a year omits.
 _IN_PRESS_FIELDS = [name for attr in IN_PRESS_HIDES for name in BIB_FIELDS[attr].fields
                     if attr != "date" or name not in _DATE_OR_YEAR.fields]
@@ -827,7 +829,8 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
             else:
                 diags.append(warning("unparsed-date", f"day '{day_text}' ignored"))
         try:
-            date = PartialDate(int(text) if text.isdigit() else text, month, day, day_end)
+            year = int(text) if text.isascii() and text.isdigit() else text
+            date = PartialDate(year, month, day, day_end)
         except ValueError:
             diags.append(warning(
                 "unparsed-date", f"date fields kept verbatim for '{raw.key}'"))
@@ -849,5 +852,5 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         elif any(_QUALIFIER_VALUES(record)):
             issue_field = winners.get(_FIELD_INDEX["issue"], "")
             diags.extend(_unprinted_qualifiers(record, issue_field))
-    return record, [d._replace(offset=raw.span[0]) for d in diags]
+    return record, [d._replace(offset=raw.span[0]) for d in diags] if diags else diags
 

@@ -106,7 +106,7 @@ def compress_page_range(first: str, last: str) -> str:
     (keeping at least one digit); unequal lengths are written in full.
     Raises :class:`InvalidRange` when the range decreases.
     """
-    if not first.isdigit() or not last.isdigit():
+    if not (first + last).isascii() or not first.isdigit() or not last.isdigit():
         raise InvalidRange(f"page range {first!r}-{last!r} is not numeric")
     a, b = digit_order(first), digit_order(last)
     if b < a:
@@ -267,6 +267,9 @@ def _web_date_block(rec: BibRecord, date_str: str) -> str:
 
 
 def _note_segments(rec: BibRecord) -> list[str]:
+    if not (rec.pmid or rec.retraction_of or rec.retraction_in or rec.erratum_in
+            or rec.republished_from):
+        return []
     pairs = (
         ("Cited in PubMed; PMID ", rec.pmid),
         ("Retraction of: ", rec.retraction_of),

@@ -529,6 +529,17 @@ class TestParseDatabase:
     @example("@string{a, t={x}, u=xundef}")
     @example("@a(k, t={x}, u=jan) @a(j, t={x}}) @a{i, t={x})")
     @example("@a{k, t={x},} @a{j,} @a{i , t = w ,\n}")
+    # where a run that gave characters back would end in another place:
+    # '#' after spaces behind a braced value and behind a word, a word
+    # straight into '#', a trailing comma and spaces before the close, and
+    # entries cut off at the end of the text
+    @example("@a{k, t={x {y}} \t\n # jan, u={z}}")
+    @example("@a{k, t={x}, u=jan \xa0 # {y}, w={z}}")
+    @example("@a{k, t={x}, u=jan# {y}, w={z}}")
+    @example("@a{k, t={x}, u=jan , \n }")
+    @example("@a{k, t={x}, u=jan")
+    @example("@a{k, t={x}, u={y {z}}  ")
+    @example("@a( k , t = jan ,  ")
     def test_parser_matches_field_by_field_reference(self, text):
         assert _parsed(parse_database, text) == \
             _parsed(parse_database_reference, text)

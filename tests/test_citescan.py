@@ -128,6 +128,12 @@ class TestScanCitations:
     @example("\\cite{ a ,b\t}\\cite{a,,b}\\cite{\xa0}\\cite{a b}")
     @example("\\cite{a\\}\\cite{a%}\n\\\\%\\cite{b}\n\\\\\\%\\cite{c}")
     @example("\\cite{a,}\\cite{,a}\\cite{a\nb}\\cite {a}\\cite\n{b}")
+    # one form each, where a space, key or group run that gave characters
+    # back would end in another place
+    @example("\\cite {a}")
+    @example("\\cite{ a , b }")
+    @example("\\cite{a b}")
+    @example("\\cite{a,}")
     def test_scan_matches_reference(self, text):
         assert scanned(text) == scan_citations_reference(text)
 

@@ -355,7 +355,9 @@ class TestCheck:
                        "empty name at position 0 [empty-name]\n")
 
     @pytest.mark.parametrize("names,position", [
-        ("{}", 0), ("Smith, J and { }", 1), ("Smith, J and {{}}", 1)])
+        ("{}", 0), ("Smith, J and { }", 1), ("Smith, J and {{}}", 1),
+        # a family that cleans to nothing, or is not there
+        ("Jo {}", 0), ("{} , John", 0), ("Smith, J and , John", 1)])
     def test_empty_braced_name_is_empty_name(self, tmp_path, names, position):
         bib = tmp_path / "empty.bib"
         bib.write_text(f"@article{{k, author={{{names}}}, title={{T}}, "
@@ -957,6 +959,33 @@ class TestMainAndConfig:
         assert main([*command, "--bib", str(bib)]) == 0
         assert capsys.readouterr().err == (
             f"{bib}:1:1: warning: month '\u00b9' ignored [unparsed-date]\n")
+
+    # A number is ASCII digits wherever it is read: "٢٠٠١" is
+    # 2001 in Arabic-Indic digits, and it is text to vanref.
+    def test_a_non_ascii_digit_year_prints_verbatim(self, tmp_path, capsys):
+        bib = tmp_path / "year.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       " year={٢٠٠١}}\n", encoding="utf-8")
+        assert main(["format", "--all", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == (
+            "1. Smith J. T. J. ٢٠٠١.\n", "")
+
+    def test_non_ascii_digit_pages_print_verbatim(self, tmp_path, capsys):
+        pages = "٣١٠-٣١٤"  # 310-314
+        bib = tmp_path / "pages.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       f" year={{2001}}, pages={{{pages}}}}}\n", encoding="utf-8")
+        assert main(["format", "--all", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == (f"1. Smith J. T. J. 2001:{pages}.\n", "")
+
+    def test_a_non_ascii_digit_word_is_a_macro_name(self, tmp_path, capsys):
+        bib = tmp_path / "volume.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       " year={2001}, volume=٣}\n", encoding="utf-8")
+        assert main(["format", "--all", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == (
+            "1. Smith J. T. J. 2001.\n",
+            f"{bib}:1:76: warning: undefined macro '٣' [undefined-macro]\n")
 
     # int() refuses a string of more than 4,300 digits
     @pytest.mark.parametrize("command", [["check"], ["format", "--all"]])

@@ -60,9 +60,13 @@ def _plain_words(words: list[str]) -> str:
 
 
 def _person_from_parts(first: list[str], von: list[str], last: list[str],
-                       suffix: list[str]) -> PersonName:
-    """Build a name from its parts' words, their LaTeX stripped."""
-    return PersonName(_plain_words(last), _plain_words(first), _plain_words(von),
+                       suffix: list[str], index: int) -> PersonName:
+    """Build name ``index`` from its parts' words, their LaTeX stripped; a
+    family with nothing left is an empty name."""
+    family = _plain_words(last)
+    if not family:
+        raise NameParseError(f"empty name at position {index}", index)
+    return PersonName(family, _plain_words(first), _plain_words(von),
                       _plain_words(suffix))
 
 
@@ -150,21 +154,21 @@ def _ref_parse_one_name(piece, index):
     if len(parts) == 1:
         tokens = parts[0]
         if len(tokens) == 1:
-            return _person_from_parts([], [], tokens, [])
+            return _person_from_parts([], [], tokens, [], index)
         lowers = [i for i, w in enumerate(tokens) if _is_lower_word(w)]
         if not lowers or lowers == [len(tokens) - 1]:
-            return _person_from_parts(tokens[:-1], [], tokens[-1:], [])
+            return _person_from_parts(tokens[:-1], [], tokens[-1:], [], index)
         von, last = _ref_split_von_last(tokens[lowers[0]:])
-        return _person_from_parts(tokens[:lowers[0]], von, last, [])
+        return _person_from_parts(tokens[:lowers[0]], von, last, [], index)
     left = parts[0]
     if left and _is_lower_word(left[0]):
         von, last = _ref_split_von_last(left)
     else:
         von, last = [], left
     if len(parts) == 2:
-        return _person_from_parts(parts[1], von, last, [])
+        return _person_from_parts(parts[1], von, last, [], index)
     first = [w for grp in parts[2:] for w in grp]
-    return _person_from_parts(first, von, last, parts[1])
+    return _person_from_parts(first, von, last, parts[1], index)
 
 
 def _ref_parse_names(value):
@@ -652,6 +656,24 @@ class TestParseNames:
         assert elapsed < 1.0
 
 
+# Reference for ``initials``: the per-character loop, which reads each
+# token up to its first letter.
+def _initials_reference(given_name):
+    out = []
+    for token in given_name.replace("-", " ").split():
+        for c in token:
+            if c.isalpha():
+                out.append(c.upper())
+                break
+    return "".join(out)
+
+
+# Given names from letters that change length or case when uppercased
+# (``ǅ``, ``ß``), a combining mark, numbers that are not letters (``²``,
+# ``Ⅷ``), a leading ``(``, hyphens and spaces.
+_GIVEN_CHARS = ["a", "Z", "é", "ǅ", "ß", "\u0301", "²", "Ⅷ", "(", ".", "-", " ", "\xa0"]
+
+
 class TestInitials:
     @pytest.mark.parametrize("given_name,expected", [
         ("Scott D.", "SD"),
@@ -675,6 +697,11 @@ class TestInitials:
            st.sampled_from([" ", "-"]))
     def test_length_matches_token_count(self, tokens, sep):
         assert len(initials(sep.join(tokens))) == len(tokens)
+
+    @given(st.lists(st.sampled_from(_GIVEN_CHARS), max_size=12).map("".join))
+    @example("(ǅ-ß \u0301² Ⅷa")
+    def test_matches_per_character_reference(self, given_name):
+        assert initials(given_name) == _initials_reference(given_name)
 
 
 class TestParseDate:
