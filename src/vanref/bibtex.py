@@ -15,14 +15,13 @@ offset and in the same order as recursive descent would give.  Recursive
 descent reads everything else from where the match stopped: quoted values,
 ``#``, deeper braces, fields past the unrolled count, the closing delimiter
 and syntax errors, and whole ``@string``, ``@preamble`` and ``@comment``
-blocks.  From Python 3.11 the match's runs are possessive: the same
-matches, with no backtracking point kept; 3.10 builds the plain pattern.
+blocks.  The match's runs are possessive: the same matches, with no
+backtracking point kept.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, error, warning
@@ -58,10 +57,8 @@ _HASH_RE = re.compile(_SPACE + "#" + _SPACE)
 # Each run marked possessive (``*+``, ``++``) in ``_ENTRY`` and
 # ``citescan._CITE_RE`` is followed only by what it cannot match (a space run
 # by a non-space, a type, key or name by a character outside it, braced text
-# by a brace), so giving a character back never lets the rest match.  re
-# reads the mark from Python 3.11; 3.10 rejects it and builds the plain one.
-_POSSESSIVE = "+" if sys.version_info >= (3, 11) else ""
-_SPACE_RUN = _SPACE + _POSSESSIVE
+# by a brace), so giving a character back never lets the rest match.
+_SPACE_RUN = _SPACE + "+"
 # One field in the general loop: ``, name =`` and the space after it.
 # After the comma each part is optional, and the first one missing says
 # which syntax error to report.
@@ -81,20 +78,20 @@ _FIELD_RE = re.compile(
 # about a quarter faster here.  Groups: 1 type, 2 key after '{', 3 key after
 # '(', then per field 3k + 4 name, 3k + 5 braced value, 3k + 6 word, and
 # last ``closed``.
-_BRACED = "[^{}]*" + _POSSESSIVE
+_BRACED = "[^{}]*+"
 _PLAIN_FIELD = (
-    "," + _SPACE_RUN + "(" + _NAME + _POSSESSIVE + ")" + _SPACE_RUN + "=" + _SPACE_RUN
-    + r"(?:\{(" + _BRACED + r"(?:\{" + _BRACED + r"\}" + _BRACED + ")*" + _POSSESSIVE + r")\}"
-    + "|(" + _NAME + _POSSESSIVE + ")(?!" + _NAME_CHAR + "))"
+    "," + _SPACE_RUN + "(" + _NAME + "+)" + _SPACE_RUN + "=" + _SPACE_RUN
+    + r"(?:\{(" + _BRACED + r"(?:\{" + _BRACED + r"\}" + _BRACED + r")*+)\}"
+    + "|(" + _NAME + "+)(?!" + _NAME_CHAR + "))"
     + "(?!" + _SPACE_RUN + "#)" + _SPACE_RUN
 )
 _PLAIN_RUN = 12  # fields per match; the rest go through the general loop
 # Compiled by each ``parse_database`` call, which re's cache makes one
 # lookup after the first, so that importing vanref does not pay for it.
 _ENTRY = (
-    "@" + _SPACE_RUN + "(" + _TYPE_RE.pattern + _POSSESSIVE + ")" + _SPACE_RUN
-    + r"(?:\{" + _SPACE_RUN + "(" + _KEY_BRACE_RE.pattern + _POSSESSIVE + ")"
-    + r"|\(" + _SPACE_RUN + "(" + _KEY_PAREN_RE.pattern + _POSSESSIVE + "))"
+    "@" + _SPACE_RUN + "(" + _TYPE_RE.pattern + "+)" + _SPACE_RUN
+    + r"(?:\{" + _SPACE_RUN + "(" + _KEY_BRACE_RE.pattern + "+)"
+    + r"|\(" + _SPACE_RUN + "(" + _KEY_PAREN_RE.pattern + "+))"
     + _SPACE_RUN + ("(?:" + _PLAIN_FIELD) * _PLAIN_RUN + "|)" * _PLAIN_RUN
     + "(?P<closed>(?:," + _SPACE_RUN + r")?(?(2)\}|\)))?"
 )
@@ -216,7 +213,9 @@ class _Parser:
         return self._add_entry(entry_type, key, fields, at, i)
 
     def _parse_general(self, at: int) -> int:
-        """Parse any block step by step: the path for all but plain entries."""
+        """Parse an ``@string``, ``@preamble`` or ``@comment`` block, or report
+        why an entry's head failed ``_ENTRY``: a stray ``@``, no opening
+        delimiter, or no key.  An entry whose head matches never comes here."""
         text = self.text
         i = _skip_space(text, at + 1)
         m = _TYPE_RE.match(text, i)
@@ -235,14 +234,9 @@ class _Parser:
         if entry_type == "preamble":
             _, i = self._parse_value(i)
             return self._expect(i, close)
-        key_re = _KEY_PAREN_RE if close == ")" else _KEY_BRACE_RE
-        m = key_re.match(text, i)
-        if m is None:
-            raise BibtexSyntaxError("missing citation key", i)
-        key = m.group(0)
-        fields: dict[str, str] = {}
-        i = self._parse_fields(key, fields, _skip_space(text, m.end()), close)
-        return self._add_entry(entry_type, key, fields, at, i)
+        # _ENTRY matches whenever the type, delimiter and key do, and its
+        # fields and close are optional, so only the key can be missing
+        raise BibtexSyntaxError("missing citation key", i)
 
     def _parse_string(self, i: int, close: str) -> int:
         text = self.text

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple, Protocol, TypeVar
 
-from .bibtex import _POSSESSIVE as _P, _SPACE_RUN as _S
+from .bibtex import _SPACE_RUN as _S
 from .diagnostics import Diagnostic, warning
 
 _KEY = r"[A-Za-z0-9.:*+/_-]+"
@@ -14,7 +14,7 @@ _KEY_RE = re.compile(_KEY)
 # of well-formed keys, each with optional space around it; group 2 holds any
 # other group, which is checked key by key.  Runs are possessive as in bibtex.
 _CITE_RE = re.compile(
-    rf"\\cite{_S}\{{(?:({_S}{_KEY}{_P}{_S}(?:,{_S}{_KEY}{_P}{_S})*)|([^{{}}]*{_P}))\}}")
+    rf"\\cite{_S}\{{(?:({_S}{_KEY}+{_S}(?:,{_S}{_KEY}+{_S})*)|([^{{}}]*+))\}}")
 
 
 class CitationIndex(NamedTuple):

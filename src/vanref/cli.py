@@ -128,9 +128,10 @@ _BATCH = 64
 
 
 def _references(entries: list[RawEntry], sources: dict[str, Source],
-                reporter: _Reporter, style: StyleConfig
+                reporter: _Reporter, style: StyleConfig | None
                 ) -> Iterator[str | None]:
-    """Each entry's reference text, or ``None`` where it cannot render.
+    """Each entry's reference text, or ``None`` where it cannot render; with
+    ``style=None``, ``None`` for every entry, after the same render checks.
 
     Diagnostics keep their order: each entry's normalize diagnostics, then
     its ``unknown-field`` lint, then its ``render`` error, before the next
@@ -237,7 +238,8 @@ def cmd_check(config: RunConfig, stdout=None, stderr=None) -> int:
     if loaded is None:
         return EXIT_IO
     entries, sources = loaded
-    for _ in _references(entries, sources, reporter, config.style()):
+    # every render check, and no reference text
+    for _ in _references(entries, sources, reporter, None):
         pass
     print(f"checked {len(entries)} entries: "
           f"{reporter.errors} errors, {reporter.warnings} warnings",
@@ -301,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--strict", action="store_true",
                      help="treat warnings as failures")
 
-    chk = sub.add_parser("check", help="lint a database and dry-run the renderer",
-                         **quiet)
+    chk = sub.add_parser("check", help="lint a database and run every render "
+                                       "check, building no text", **quiet)
     chk.add_argument("--bib", nargs="+", action="extend", dest="bib_paths",
                      metavar="PATH")
     chk.add_argument("--strict", action="store_true")

@@ -7,10 +7,12 @@ media, web monographs and misc the monograph template; a chapter is its
 contribution, ``In:`` and its book through the monograph template; reports
 and patents have their own.  The article and patent templates apply the drop
 rules of :mod:`vanref.model`: an article blanks what they hide, then renders
-its one path.  :data:`TEMPLATES` has one row per entry type: its template
-function, the record attributes it requires and the attributes and roles it
-can print, which :data:`vanref.model.BIB_FIELDS` turns into the ``.bib``
-fields the ``unknown-field`` lint accepts.  All functions are pure.
+its one path.  :func:`render_reference` raises every render error before a
+template runs, so a template only formats and a dry render builds no text.
+:data:`TEMPLATES` has one row per entry type: its template function, the
+record attributes it requires and the attributes and roles it can print,
+which :data:`vanref.model.BIB_FIELDS` turns into the ``.bib`` fields the
+``unknown-field`` lint accepts.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -219,13 +221,12 @@ _QUALIFIED = {"volume_supplement": "{0} Suppl {2}", "volume_part": "{0}(Pt {2})"
 def format_journal_locator(rec: BibRecord) -> str:
     """Volume/issue/supplement/part/section locator, e.g. ``42 Suppl 2``,
     ``58(12 Suppl 7)``, ``(401)`` or ``Sect. A``; one supplement or part prints.
+    Two supplements conflict: :func:`render_reference` raises for them first.
     """
     volume, issue = rec.volume, rec.issue
     locator = f"{volume}({issue})" if issue else volume
     # any of QUALIFIERS, read with no call, so the plain locator makes none
     if rec.volume_supplement or rec.volume_part or rec.issue_supplement or rec.issue_part:
-        if rec.volume_supplement and rec.issue_supplement:
-            raise ConflictingLocator()
         if attr := printed_qualifier(rec):
             locator = _QUALIFIED[attr].format(volume, issue, getattr(rec, attr))
     if rec.section:
@@ -288,8 +289,6 @@ def _render_article(rec: BibRecord, style: StyleConfig) -> str:
     journal = rec.journal
     if rec.medium:
         journal = f"{journal} [{rec.medium}]" if journal else f"[{rec.medium}]"
-    if not journal:
-        raise MissingRequiredField(rec.entry_type, "journal")
     if rec.in_press:
         rec = rec.without(IN_PRESS_HIDES)
     elif rec.continuous_pagination:
@@ -447,15 +446,28 @@ TEMPLATES: dict[EntryType, Template] = {
 }
 
 
-def render_reference(rec: BibRecord, style: StyleConfig = DEFAULT_STYLE) -> str:
-    """Render one record to its reference string.
+def render_reference(rec: BibRecord,
+                     style: StyleConfig | None = DEFAULT_STYLE) -> str | None:
+    """Render one record to its reference string; with ``style=None``, only
+    decide that it renders, build no text and return ``None``.
 
-    Raises :class:`MissingRequiredField` on the first unmet requirement of
-    the record's template and :class:`ConflictingLocator` on impossible
-    supplement combinations.
+    Every :class:`RenderError` is raised here, before any template runs, so
+    the templates only format.  :class:`MissingRequiredField` names the first
+    unmet requirement of the record's template, then an article with neither
+    journal nor medium; :class:`ConflictingLocator` rejects an article that
+    keeps both supplements once the in-press and continuous drop rules apply.
     """
     template = TEMPLATES[rec.entry_type]
     for name in template.requires:
         if not getattr(rec, name):
             raise MissingRequiredField(rec.entry_type, name)
+    if template.render is _render_article:
+        if not (rec.journal or rec.medium):
+            raise MissingRequiredField(rec.entry_type, "journal")
+        # in press hides both supplements, continuous pagination the issue's
+        if (rec.volume_supplement and rec.issue_supplement
+                and not rec.in_press and not rec.continuous_pagination):
+            raise ConflictingLocator()
+    if style is None:
+        return None
     return template.render(rec, style)

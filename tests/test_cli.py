@@ -73,12 +73,18 @@ def inject(entry: RawEntry, defect: str) -> str:
         fields["author"] = "Smith, J and and Doe, A"
     elif defect == "unknown-field":
         fields["flavor"] = "mint"
+    elif defect == "no-journal":
+        fields.pop("journal", None)
+        fields.pop("medium", None)
+    elif defect == "both-supplements":
+        fields.update(volsuppl="2", issuesuppl="3")
     text = serialize_entry(RawEntry(entry.entry_type, entry.key, fields)) + "\n"
     return text * 2 if defect == "duplicate-key" else text
 
 
+# no-title, no-journal and both-supplements are each a kind of render error
 DEFECTS = ("none", "no-date", "macro", "no-title", "and-and", "unknown-field",
-           "duplicate-key")
+           "duplicate-key", "no-journal", "both-supplements")
 
 # A distinct, well-formed value for each locator and date field of an article.
 LOCATOR_VALUES = {
@@ -945,6 +951,18 @@ class TestMainAndConfig:
         assert code == 0
         assert captured.out.startswith("1. Dorland's")
         assert captured.err == ""
+
+    def test_unreadable_manuscript_is_io_error(self, capsys):
+        code = main(["format", "--bib", BIB, "--tex", "/no/such/paper.tex"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "/no/such/paper.tex: cannot read" in captured.err
+
+    def test_check_of_an_unreadable_database_is_io_error(self, capsys):
+        code = main(["check", "--bib", "/no/such/file.bib"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "/no/such/file.bib: cannot read" in captured.err
 
     def test_scan_via_main(self, capsys):
         code = main(["scan", "--tex", TEX])

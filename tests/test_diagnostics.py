@@ -1,7 +1,9 @@
 """Diagnostic rendering and the per-file line index."""
 
 import random
+import re
 import time
+from pathlib import Path
 
 from hypothesis import example, given, strategies as st
 
@@ -64,3 +66,22 @@ def test_offset_without_index_renders_raw():
     diag = warning("unknown-macro", "dropped", 2)
     assert diag.render(None, "f.bib") == "f.bib:@2: warning: dropped [unknown-macro]"
     assert diag.render() == ":@2: warning: dropped [unknown-macro]"
+
+
+ROOT = Path(__file__).parent.parent
+# a code is the string literal that opens a warning( or error( call
+EMITTED_CODE = re.compile(r'\b(?:warning|error)\(\s*"([^"]*)"')
+# README's codes table, a row per code, and a code named in backquotes
+CODE_TABLE = re.compile(r"^## Diagnostic codes$(.*?)^## ", re.M | re.S)
+TABLE_CODE = re.compile(r"^\| `([^`]*)` \|", re.M)
+PROSE_CODE = re.compile(r"`([a-z]+(?:-[a-z]+)+)`")
+
+
+def test_readme_names_every_diagnostic_code_and_no_other():
+    emitted = {code for path in (ROOT / "src" / "vanref").glob("*.py")
+               for code in EMITTED_CODE.findall(path.read_text(encoding="utf-8"))}
+    assert len(emitted) >= 17
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = TABLE_CODE.findall(CODE_TABLE.search(readme)[1])
+    assert sorted(table) == sorted(emitted)
+    assert set(PROSE_CODE.findall(readme)) <= emitted

@@ -3,9 +3,11 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from vanref.bibtex import RawEntry
 from vanref.model import (
+    _TYPE_MAP,
     ARTICLE_TYPES,
     BIB_FIELDS,
     UNPRINTED_FIELDS,
@@ -17,6 +19,7 @@ from vanref.model import (
     PartialDate,
     PersonName,
     Role,
+    normalize,
     parse_names,
     parse_pages,
 )
@@ -26,6 +29,7 @@ from vanref.render import (
     TEMPLATES,
     InvalidRange,
     MissingRequiredField,
+    RenderError,
     StyleConfig,
     compress_page_range,
     format_contributors,
@@ -215,8 +219,13 @@ class TestJournalLocator:
     def test_conflicting_supplements_rejected(self):
         record = journal_record(volume="1", volume_supplement="2",
                                 issue_supplement="3")
-        with pytest.raises(ConflictingLocator):
-            format_journal_locator(record)
+        for style in (DEFAULT_STYLE, None):
+            with pytest.raises(ConflictingLocator):
+                render_reference(record, style)
+        # in press hides both supplements, continuous pagination the issue's
+        assert render_reference(record._replace(in_press=True)) == "T. J. In press 2002."
+        assert render_reference(record._replace(continuous_pagination=True)) == (
+            "T. J. 2002;1 Suppl 2.")
 
 
 class TestRenderReference:
@@ -484,6 +493,50 @@ class TestNormalizeRenderPipelineFuzz:
         except RenderError:
             return
         assert_clean_punctuation(text)
+
+
+# Every .bib field a record reads, and values that clean to nothing (empty,
+# space, LaTeX only) beside ones that read as a date, pages, flag or name.
+_BIB_FIELD_NAMES = sorted(UNPRINTED_FIELDS.union(
+    *(row.fields for row in BIB_FIELDS.values())))
+_DRY_VALUES = st.one_of(
+    st.sampled_from(["", " ", "{}", "{ }", "{{}}", "\\relax", "\\foo{}", "--",
+                     "x", "2001", "Jul", "12", "2001 Jul 4", "284-7", "19-5",
+                     "iii-v", "yes", "continuous", ".", "Smith, J and Doe, A"]),
+    _VALUE_STRATEGY)
+
+
+class TestDryRender:
+    """``render_reference(rec, None)`` decides every render error that a full
+    render would raise, and builds no text."""
+
+    @given(st.sampled_from([*_TYPE_MAP, "oddball"]),
+           st.dictionaries(st.sampled_from(_BIB_FIELD_NAMES), _DRY_VALUES,
+                           max_size=14),
+           st.integers(1, 7).map(StyleConfig))
+    @example("article", {"title": "T", "journal": "J", "volume": "1",
+                         "volsuppl": "2", "issuesuppl": "3"}, DEFAULT_STYLE)
+    @example("article", {"title": "T", "journal": "J", "volsuppl": "2",
+                         "issuesuppl": "3", "inpress": "yes"}, DEFAULT_STYLE)
+    @example("article", {"title": "T", "journal": "J", "volsuppl": "2",
+                         "issuesuppl": "3", "pagination": "continuous"}, DEFAULT_STYLE)
+    @example("article", {"title": "T", "url": "u", "journal": "{}"}, DEFAULT_STYLE)
+    @example("article", {"title": "T", "url": "u", "medium": "Internet"}, DEFAULT_STYLE)
+    @example("newspaper", {"title": "T", "medium": "Internet"}, DEFAULT_STYLE)
+    def test_dry_render_raises_what_a_full_render_raises(self, entry_type, fields,
+                                                         style):
+        record, _ = normalize(RawEntry(entry_type, "k", fields))
+        try:
+            decided = render_reference(record, None)
+        except RenderError as exc:
+            with pytest.raises(RenderError) as full:
+                render_reference(record, style)
+            assert (type(full.value), str(full.value)) == (type(exc), str(exc))
+            return
+        assert decided is None
+        # a record that passes the checks renders: no template raises
+        text = TEMPLATES[record.entry_type].render(record, style)
+        assert render_reference(record, style) == text
 
 
 class TestChapterHost:
