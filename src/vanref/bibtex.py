@@ -44,15 +44,15 @@ MONTH_MACROS = {
 
 # Identifier characters follow BibTeX: anything but whitespace and the
 # syntax characters below.  Citation keys may start with a digit ("21st").
-_NAME_CHAR = r"""[^\s"#%'(),={}]"""
-_NAME = _NAME_CHAR + "+"
+_NAME = r"""[^\s"#%'(),={}]+"""
 _NAME_RE = re.compile(_NAME)
 _TYPE_RE = re.compile(r"[A-Za-z]+")
-_KEY_BRACE_RE = re.compile(r"[^,\s{}]+")
-_KEY_PAREN_RE = re.compile(r"[^,\s()]+")
 # Skippable space is any whitespace run, no-break spaces included.
 _SPACE = r"\s*"
 _SPACE_RE = re.compile(_SPACE)
+# Free text between entries: it ends at an '@' outside a %-to-EOL comment.
+# Its runs are possessive, so re keeps no backtracking state over a long run.
+_JUNK_RE = re.compile(r"[^@%]*+(?:%[^\n]*+(?:\n[^@%]*+)?+)*+")
 _HASH_RE = re.compile(_SPACE + "#" + _SPACE)
 # Each run marked possessive (``*+``, ``++``) in ``_ENTRY`` and
 # ``citescan._CITE_RE`` is followed only by what it cannot match (a space run
@@ -69,8 +69,7 @@ _FIELD_RE = re.compile(
 # An entry's head and its leading run of plain fields, in one match.  A
 # plain field is ``, name = {value}`` with braces nested at most one level
 # deep, or ``, name = word``, with no ``#`` after the value; the space after
-# it is part of the field, and the lookahead after a word keeps backtracking
-# from cutting it short.  Each field is tried only after the one before it
+# it is part of the field.  Each field is tried only after the one before it
 # matched, so the run stops at the first field that is not plain.  Then
 # ``closed`` takes the entry's own delimiter, after an optional trailing
 # comma, or recursive descent resumes where the run stopped.  An optional
@@ -82,16 +81,14 @@ _BRACED = "[^{}]*+"
 _PLAIN_FIELD = (
     "," + _SPACE_RUN + "(" + _NAME + "+)" + _SPACE_RUN + "=" + _SPACE_RUN
     + r"(?:\{(" + _BRACED + r"(?:\{" + _BRACED + r"\}" + _BRACED + r")*+)\}"
-    + "|(" + _NAME + "+)(?!" + _NAME_CHAR + "))"
-    + "(?!" + _SPACE_RUN + "#)" + _SPACE_RUN
+    + "|(" + _NAME + "+))" + _SPACE_RUN + "(?!#)"
 )
 _PLAIN_RUN = 12  # fields per match; the rest go through the general loop
 # Compiled by each ``parse_database`` call, which re's cache makes one
 # lookup after the first, so that importing vanref does not pay for it.
 _ENTRY = (
     "@" + _SPACE_RUN + "(" + _TYPE_RE.pattern + "+)" + _SPACE_RUN
-    + r"(?:\{" + _SPACE_RUN + "(" + _KEY_BRACE_RE.pattern + "+)"
-    + r"|\(" + _SPACE_RUN + "(" + _KEY_PAREN_RE.pattern + "+))"
+    + r"(?:\{" + _SPACE_RUN + r"([^,\s{}]++)|\(" + _SPACE_RUN + r"([^,\s()]++))"
     + _SPACE_RUN + ("(?:" + _PLAIN_FIELD) * _PLAIN_RUN + "|)" * _PLAIN_RUN
     + "(?P<closed>(?:," + _SPACE_RUN + r")?(?(2)\}|\)))?"
 )
@@ -126,23 +123,8 @@ def _skip_space(text: str, i: int) -> int:
 
 
 def _skip_junk(text: str, i: int) -> int:
-    """Advance past inter-entry free text, honoring %-to-EOL comments.
-
-    The next '@' is found once per run of junk and comments are looked for
-    only before it, so each character is scanned a bounded number of times.
-    """
-    at = text.find("@", i)
-    while at != -1:
-        pct = text.find("%", i, at)
-        if pct == -1:
-            return at
-        nl = text.find("\n", pct)
-        if nl == -1:
-            break
-        i = nl + 1
-        if i > at:  # the comment swallowed that '@'
-            at = text.find("@", i)
-    return len(text)
+    """Advance past inter-entry free text, honoring %-to-EOL comments."""
+    return _JUNK_RE.match(text, i).end()
 
 
 _BRACE_JUMP_RE = re.compile(r"[{}]")

@@ -250,9 +250,6 @@ def cmd_check(config: RunConfig, stdout=None, stderr=None) -> int:
 def cmd_scan(config: RunConfig, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     reporter = _Reporter(stderr or sys.stderr)
-    if config.tex_path is None:
-        print("no manuscript given", file=reporter.stderr)
-        return EXIT_IO
     scanned = _scan_manuscript(config.tex_path, reporter)
     if scanned is None:
         return EXIT_IO

@@ -26,6 +26,10 @@ class NameParseError(ValueError):
         self.index = index
 
 
+class MalformedNameError(NameParseError):
+    """A name that cannot be printed: a comma in its suffix."""
+
+
 class _Checked:
     """Mixin for a named tuple whose constructor checks its fields.
 
@@ -89,6 +93,19 @@ class ContributorList(_Checked, _ContributorListFields):
         return tuple.__new__(cls, (names, role, truncated))
 
 
+# Days per month in a common year.
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def month_days(year: int | str, month: int) -> int:
+    """The days of ``month`` in ``year``, Gregorian leap years included, as
+    ``calendar.monthrange`` counts them (whose import would slow start-up);
+    February has 29 when ``year`` is not a number."""
+    leap = month == 2 and (not isinstance(year, int) or year % 4 == 0
+                           and (year % 100 != 0 or year % 400 == 0))
+    return _MONTH_DAYS[month - 1] + leap
+
+
 class _PartialDateFields(NamedTuple):
     year: int | str
     month: int | None
@@ -115,12 +132,12 @@ class PartialDate(_Checked, _PartialDateFields):
         if day is not None:
             if month is None:
                 raise ValueError("a day requires a month")
-            if not 1 <= day <= 31:
+            if not 1 <= day <= month_days(year, month):
                 raise ValueError("day out of range")
         if day_end is not None:
             if day is None:
                 raise ValueError("a day range requires a start day")
-            if not day <= day_end <= 31:
+            if not day <= day_end <= month_days(year, month):
                 raise ValueError("day range must stay within the month")
         return tuple.__new__(
             cls, (year, month, day, day_end, circa, open_ended, raw))
@@ -341,6 +358,9 @@ def _one_name(words: list[str], text: str, masked: str, special: bool,
             part and strip_latex(part) for part in (family, given, particle, suffix))
     if not family:  # "Jo {}", "{} , John", ", John": nothing is left of it
         raise NameParseError(f"empty name at position {index}", index)
+    if "," in suffix:  # "Doe, {Jr, III}, John": the braces keep the comma
+        raise MalformedNameError(
+            f"name at position {index} has a comma in its suffix '{suffix}'", index)
     return PersonName(family, given, particle, suffix)
 
 
@@ -384,13 +404,7 @@ def parse_names(value: str, role: Role = Role.AUTHOR) -> ContributorList:
             words = cut[end:end + len(words)]
             end += len(words) + 1
             text = " ".join(words)
-        try:
-            names.append(_one_name(words, text, masked_text, special, index))
-        except NameParseError:
-            raise
-        except ValueError as exc:
-            raise NameParseError(
-                f"unusable name at position {index}: {exc}", index) from exc
+        names.append(_one_name(words, text, masked_text, special, index))
     return ContributorList(tuple(names), role, truncated)
 
 
@@ -780,9 +794,10 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
             try:
                 contributors.append(parse_names(f[field_name], role))
             except NameParseError as exc:
-                diags.append(error(
-                    "empty-name",
-                    f"entry '{raw.key}': bad {field_name} field: {exc}"))
+                message = f"entry '{raw.key}': bad {field_name} field: {exc}"
+                diags.append(error("malformed-name", message)
+                             if isinstance(exc, MalformedNameError)
+                             else error("empty-name", message))
 
     entry_type = _web_type(raw, diags)
     if entry_type is EntryType.PATENT and "author" in f:
@@ -814,6 +829,9 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         diags.extend(_shadowed(name, "date") for name in ("month", "day") if name in f)
         date = parse_date(text, diags)
     elif date_field:  # the year, with its month and day
+        # four digits at most make a number; a longer year prints as written
+        year = (int(text) if len(text) <= 4 and text.isascii() and text.isdigit()
+                else text)
         month = day = day_end = None
         month_text = strip_latex(f["month"], diags) if "month" in f else ""
         if month_text:
@@ -824,17 +842,12 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         if day_text:
             m = _DAY_RE.fullmatch(day_text)
             if m and month is not None:
-                day = int(m.group(1))
-                day_end = int(m.group(2)) if m.group(2) else None
-            else:
+                first, last = int(m[1]), int(m[2] or m[1])
+                if 1 <= first <= last <= month_days(year, month):  # a day the month has
+                    day, day_end = first, last if m[2] else None
+            if day is None:
                 diags.append(warning("unparsed-date", f"day '{day_text}' ignored"))
-        try:
-            year = int(text) if text.isascii() and text.isdigit() else text
-            date = PartialDate(year, month, day, day_end)
-        except ValueError:
-            diags.append(warning(
-                "unparsed-date", f"date fields kept verbatim for '{raw.key}'"))
-            date = PartialDate(year=text, raw=text)
+        date = PartialDate(year, month, day, day_end)
     else:
         diags.append(warning(
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))

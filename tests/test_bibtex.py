@@ -14,8 +14,6 @@ from vanref.bibtex import (
     _BRACE_JUMP_RE,
     _CONTROL_WORD_RE,
     _ESCAPES,
-    _KEY_BRACE_RE,
-    _KEY_PAREN_RE,
     _NAME_RE,
     _QUOTE_JUMP_RE,
     _SPECIAL_RE,
@@ -49,6 +47,8 @@ def skip_junk_reference(text, i):
 
 
 _REF_SPACE_RE = re.compile(r"\s*")
+_KEY_BRACE_RE = re.compile(r"[^,\s{}]+")
+_KEY_PAREN_RE = re.compile(r"[^,\s()]+")
 
 
 def _skip_space_reference(text, i):

@@ -13,7 +13,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vanref import RawEntry, StyleConfig, cli, render_reference, resolve
+from vanref import (RawEntry, StyleConfig, cli, parse_database, render_reference,
+                    resolve)
 from vanref.bibtex import serialize_entry
 from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
 from vanref.diagnostics import Diagnostic, error, warning
@@ -85,6 +86,10 @@ def inject(entry: RawEntry, defect: str) -> str:
 # no-title, no-journal and both-supplements are each a kind of render error
 DEFECTS = ("none", "no-date", "macro", "no-title", "and-and", "unknown-field",
            "duplicate-key", "no-journal", "both-supplements")
+
+CORPUS_ENTRIES = parse_database(BIB_PATH.read_text(encoding="utf-8")).entries
+ONLINE_ARTICLE = next(entry for entry in CORPUS_ENTRIES
+                      if entry.entry_type == "article" and "url" in entry.fields)
 
 # A distinct, well-formed value for each locator and date field of an article.
 LOCATOR_VALUES = {
@@ -374,6 +379,23 @@ class TestCheck:
         assert err == (f"{bib}:1:1: error: entry 'k': bad author field: "
                        f"empty name at position {position} [empty-name]\n")
 
+    def test_comma_in_a_braced_suffix_is_malformed_name(self, tmp_path):
+        bib = tmp_path / "suffix.bib"
+        bib.write_text("@article{k, author={Doe, {Jr, III}, John}, title={T}, "
+                       "journal={J}, year={2000}}", encoding="utf-8")
+        code, out, err = run_check(bib_paths=[str(bib)])
+        assert code == 1
+        assert out == "checked 1 entries: 1 errors, 0 warnings\n"
+        assert err == (f"{bib}:1:1: error: entry 'k': bad author field: name at "
+                       "position 0 has a comma in its suffix 'Jr, III' [malformed-name]\n")
+
+    def test_braced_suffix_prints_after_the_initials(self, tmp_path, capsys):
+        bib = tmp_path / "suffix.bib"
+        bib.write_text("@article{k, author={Doe, {Jr}, John}, title={T}, "
+                       "journal={J}, year={2000}}", encoding="utf-8")
+        assert main(["format", "--bib", str(bib), "--all"]) == 0
+        assert capsys.readouterr() == ("1. Doe J Jr. T. J. 2000.\n", "")
+
     def test_shadowed_fields_warn(self, tmp_path):
         bib = tmp_path / "shadow.bib"
         bib.write_text(
@@ -617,20 +639,20 @@ class TestCheck:
         assert code == 0
         assert "unknown-field" not in err
 
-    @given(data=st.data())
-    def test_format_all_agrees_with_check(self, corpus_db, tmp_path_factory,
-                                          data):
-        picked = data.draw(st.lists(
-            st.tuples(st.sampled_from(corpus_db.entries), st.sampled_from(DEFECTS)),
-            min_size=1, max_size=8))
+    @given(st.lists(st.tuples(st.sampled_from(CORPUS_ENTRIES), st.sampled_from(DEFECTS)),
+                    min_size=1, max_size=8),
+           st.integers(0, 8), st.booleans())
+    # the corpus's one online article, with no journal and no medium
+    @example([(ONLINE_ARTICLE, "no-journal")], 0, False)
+    def test_format_all_agrees_with_check(self, tmp_path_factory, picked, split,
+                                          strict):
         texts = [inject(entry, defect) for entry, defect in picked]
         # two files, so that a duplicate key may also cross files
-        split = data.draw(st.integers(0, len(texts)))
+        split %= len(texts) + 1
         folder = tmp_path_factory.mktemp("agree")
         paths = [str(folder / "a.bib"), str(folder / "b.bib")]
         for path, part in zip(paths, (texts[:split], texts[split:])):
             Path(path).write_text("".join(part), encoding="utf-8")
-        strict = data.draw(st.booleans())
         format_code, _, format_err = run_format(bib_paths=paths, strict=strict)
         check_code, _, check_err = run_check(bib_paths=paths, strict=strict)
         assert format_err == check_err
@@ -1028,6 +1050,51 @@ class TestMainAndConfig:
         assert main([*command, "--bib", str(bib)]) == 0
         assert capsys.readouterr().err == (
             f"{bib}:1:1: warning: month '{ones}' ignored [unparsed-date]\n")
+
+    # a year of more than four digits is text: no int() is made of it
+    def test_a_5000_digit_year_prints_as_written(self, tmp_path, capsys):
+        ones = "1" * 5000
+        bib = tmp_path / "year.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       f" year={{{ones}}}, month={{jan}}, day={{5}}}}\n",
+                       encoding="utf-8")
+        assert main(["format", "--all", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == (f"1. Smith J. T. J. {ones} Jan 5.\n", "")
+
+    # A day is one its month has, in that year; any other day is dropped with
+    # a warning, and the month is kept.
+    @pytest.mark.parametrize("year,month,day,printed", [
+        ("2001", "jan", "45", "2001 Jan"),
+        ("2001", "feb", "30", "2001 Feb"),
+        ("2001", "feb", "29", "2001 Feb"),
+        ("2004", "feb", "29", "2004 Feb 29"),
+        ("1900", "feb", "28-29", "1900 Feb"),
+        ("2000", "feb", "28-29", "2000 Feb 28-29"),
+        ("2001", "apr", "31", "2001 Apr"),
+        ("2001", "jan", "0", "2001 Jan"),
+        ("2001", "jan", "20-10", "2001 Jan"),
+        ("2001", "jan", "31", "2001 Jan 31"),
+    ])
+    def test_a_day_is_checked_against_its_month(self, tmp_path, capsys, year,
+                                                 month, day, printed):
+        bib = tmp_path / "day.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       f" year={{{year}}}, month={{{month}}}, day={{{day}}}}}\n",
+                       encoding="utf-8")
+        assert main(["format", "--all", "--bib", str(bib)]) == 0
+        warned = "" if printed.endswith(day) else (
+            f"{bib}:1:1: warning: day '{day}' ignored [unparsed-date]\n")
+        assert capsys.readouterr() == (f"1. Smith J. T. J. {printed}.\n", warned)
+
+    def test_a_date_with_a_day_its_month_lacks_is_kept_verbatim(self, tmp_path,
+                                                                capsys):
+        bib = tmp_path / "date.bib"
+        bib.write_text("@article{k, author={Smith, J}, title={T}, journal={J},"
+                       " date={2001 Feb 30}}\n", encoding="utf-8")
+        assert main(["format", "--all", "--bib", str(bib)]) == 0
+        assert capsys.readouterr() == (
+            "1. Smith J. T. J. 2001 Feb 30.\n",
+            f"{bib}:1:1: warning: date kept verbatim: '2001 Feb 30' [unparsed-date]\n")
 
     def test_zero_max_authors_is_rejected(self, capsys):
         code = main(["format", "--bib", str(BIB_PATH), "--all",

@@ -1,5 +1,6 @@
 """Name, date, page and entry-type normalization."""
 
+import calendar
 import copy
 import pickle
 import re
@@ -21,6 +22,7 @@ from vanref.model import (
     BibRecord,
     ContributorList,
     EntryType,
+    MalformedNameError,
     NameParseError,
     PageExtent,
     PageKind,
@@ -29,6 +31,7 @@ from vanref.model import (
     Role,
     initials,
     map_entry_type,
+    month_days,
     normalize,
     parse_date,
     parse_month,
@@ -62,12 +65,16 @@ def _plain_words(words: list[str]) -> str:
 def _person_from_parts(first: list[str], von: list[str], last: list[str],
                        suffix: list[str], index: int) -> PersonName:
     """Build name ``index`` from its parts' words, their LaTeX stripped; a
-    family with nothing left is an empty name."""
+    family with nothing left is an empty name, and a comma left in the
+    suffix makes the name malformed."""
     family = _plain_words(last)
     if not family:
         raise NameParseError(f"empty name at position {index}", index)
-    return PersonName(family, _plain_words(first), _plain_words(von),
-                      _plain_words(suffix))
+    suffix = _plain_words(suffix)
+    if "," in suffix:
+        raise MalformedNameError(
+            f"name at position {index} has a comma in its suffix '{suffix}'", index)
+    return PersonName(family, _plain_words(first), _plain_words(von), suffix)
 
 
 # Reference for the name parser: the earlier two-pass version, which split
@@ -189,13 +196,7 @@ def _ref_parse_names(value):
     for index, piece in enumerate(pieces):
         if not piece:
             raise NameParseError(f"empty name at position {index}", index)
-        try:
-            names.append(_ref_parse_one_name(" ".join(piece), index))
-        except NameParseError:
-            raise
-        except ValueError as exc:
-            raise NameParseError(
-                f"unusable name at position {index}: {exc}", index) from exc
+        names.append(_ref_parse_one_name(" ".join(piece), index))
     return ContributorList(tuple(names), truncated=truncated)
 
 
@@ -235,9 +236,10 @@ def normalize_reference(raw):
             try:
                 contributors.append(parse_names(f[field_name], role))
             except NameParseError as exc:
+                code = ("malformed-name" if isinstance(exc, MalformedNameError)
+                        else "empty-name")
                 diags.append(error(
-                    "empty-name",
-                    f"entry '{raw.key}': bad {field_name} field: {exc}"))
+                    code, f"entry '{raw.key}': bad {field_name} field: {exc}"))
 
     entry_type = map_entry_type(raw, diags)
     named = [c.role.value for c in contributors
@@ -254,6 +256,8 @@ def normalize_reference(raw):
                 "shadowed-field", f"field '{name}' ignored: 'date' is used instead"))
     year_text = "" if date_wins else plain("year")
     if year_text:
+        year = (int(year_text) if len(year_text) <= 4 and year_text.isascii()
+                and year_text.isdigit() else year_text)
         month_text = plain("month")
         month = parse_month(month_text) if month_text else None
         if month_text and month is None:
@@ -264,19 +268,18 @@ def normalize_reference(raw):
         if day_text:
             m = re.fullmatch(r"(\d{1,2})(?:\s*-\s*(\d{1,2}))?", day_text)
             if m and month is not None:
-                day = int(m.group(1))
-                day_end = int(m.group(2)) if m.group(2) else None
-            else:
+                # the month's length in a leap year when the year is no number
+                length = calendar.monthrange(
+                    year if isinstance(year, int) else 2000, month)[1]
+                first = int(m.group(1))
+                last = int(m.group(2)) if m.group(2) else first
+                if 1 <= first <= last <= length:
+                    day = first
+                    day_end = int(m.group(2)) if m.group(2) else None
+            if day is None:
                 diags.append(warning(
                     "unparsed-date", f"day '{day_text}' ignored"))
-        try:
-            date = PartialDate(
-                year=int(year_text) if year_text.isdigit() else year_text,
-                month=month, day=day, day_end=day_end)
-        except ValueError:
-            diags.append(warning(
-                "unparsed-date", f"date fields kept verbatim for '{raw.key}'"))
-            date = PartialDate(year=year_text, raw=year_text)
+        date = PartialDate(year=year, month=month, day=day, day_end=day_end)
     if date is None:
         diags.append(warning(
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))
@@ -465,6 +468,9 @@ _CHECKED_VALUES = [
     (PartialDate(2001, 7, 3, 5), {"day": None}),
     (PartialDate(2001, 7, 3, 5), {"day_end": 2}),
     (PartialDate(2001, 7, 3, 5), {"day_end": 32}),
+    (PartialDate(2001, 4, 3, 5), {"day": 31}),
+    (PartialDate(2004, 2, 28, 29), {"year": 2001}),
+    (PartialDate("n.d.", 2, 29), {"day": 30}),
     (ContributorList((PersonName(family="Smith"),)), {"names": ()}),
 ]
 
@@ -553,6 +559,16 @@ class TestParseNames:
         assert len(result.names) == 1
         assert result.names[0].literal == "Diabetes Prevention Program Research Group"
         assert result.names[0].family == ""
+
+    def test_unclosed_nested_group_runs_to_the_end(self):
+        # a parsed value always balances its braces; the library may not
+        assert parse_names("{a {b} c").names == (PersonName(family="a b c"),)
+
+    def test_comma_in_a_braced_suffix_is_malformed(self):
+        with pytest.raises(MalformedNameError) as info:
+            parse_names("Roe, A and Doe, {Jr, III}, John")
+        assert (str(info.value), info.value.index) == (
+            "name at position 1 has a comma in its suffix 'Jr, III'", 1)
 
     def test_suffix_form(self):
         name = parse_names("Gilstrap, 3rd, Larry C.").names[0]
@@ -705,6 +721,19 @@ class TestInitials:
 
 
 class TestParseDate:
+    def test_month_days_counts_as_calendar_does(self):
+        for year in range(0, 2401):
+            for month in range(1, 13):
+                assert month_days(year, month) == calendar.monthrange(year, month)[1]
+        assert [month_days("n.d.", month) for month in range(1, 13)] == [
+            calendar.monthrange(2000, month)[1] for month in range(1, 13)]
+
+    def test_day_its_month_lacks_goes_raw(self):
+        sink = []
+        assert parse_date("2001 Feb 29", sink).raw == "2001 Feb 29"
+        assert [x.code for x in sink] == ["unparsed-date"]
+        assert parse_date("2004 Feb 29") == PartialDate(2004, 2, 29)
+
     def test_full_date(self):
         d = parse_date("2002 Jul 25")
         assert (d.year, d.month, d.day) == (2002, 7, 25)
@@ -1092,6 +1121,16 @@ class TestNormalize:
     @example(RawEntry("article", "k", {
         "number": "3", "issuesuppl": "6", "issuepart": "5", "volpart": "1"}))
     @example(RawEntry("article", "k", {"number": "", "issue": "{}", "issuesuppl": "6"}))
+    @example(RawEntry("article", "k", {"year": "2001", "month": "feb", "day": "29"}))
+    @example(RawEntry("article", "k", {"year": "2004", "month": "feb", "day": "29"}))
+    @example(RawEntry("article", "k", {"year": "1900", "month": "feb", "day": "28-29"}))
+    @example(RawEntry("article", "k", {"year": "n.d.", "month": "feb", "day": "29"}))
+    @example(RawEntry("article", "k", {"year": "2001", "month": "apr", "day": "31"}))
+    @example(RawEntry("article", "k", {"year": "2001", "month": "jul", "day": "0"}))
+    @example(RawEntry("article", "k", {"year": "2001", "month": "jul", "day": "20-10"}))
+    @example(RawEntry("article", "k", {"year": "02001", "month": "jul", "day": "4"}))
+    @example(RawEntry("article", "k", {"author": "Doe, {Jr, III}, John",
+                                       "editor": "Roe, {Jr}, Ann"}))
     @example(RawEntry("article", "k", {
         "year": "{2001}", "month": "{Jul}", "day": "{4}", "inpress": "{Yes}",
         "pagination": "{continuous}", "datesep": "{.}", "epub": "2001 Sep 13--15"}))
