@@ -12,16 +12,20 @@ files are written once to a temporary directory by CHANGE's
 ``perfbench/workloads.py``.  Each round calls each side's ``cli.main`` once
 on them, with stdout and stderr in memory and a ``gc.collect()`` before
 each call, the parent first in even rounds and the change first in odd
-ones.  One untimed call per side comes first.
+ones.  One untimed call per side comes first, and one more untimed call
+per side comes last, under ``tracemalloc``, for the peak of the memory
+that Python allocates during ``main``.
 
 The script exits 1 as soon as the two sides differ in stdout, stderr or
-exit code.  Otherwise it prints each side's median and minimum in ms, the
-change's median over the parent's, and how many rounds each side won.
+exit code.  Otherwise it prints each side's median and minimum in ms and
+its peak traced MB, the change's median over the parent's, and how many
+rounds each side won.
 
 With both sides in one process and alternating call by call, a slow spell
 of a shared machine lands on both alike, so a change of a few percent
-shows in fewer rounds than paired harness runs need.  It times ``main``
-only: start-up, import and peak memory are ``scripts/bench_pairs.py``'s.
+shows in fewer rounds than paired harness runs need.  It measures ``main``
+only: start-up, import and the process's peak RSS are
+``scripts/bench_pairs.py``'s.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -75,6 +80,17 @@ def call(main, argv: list[str]) -> tuple[float, tuple]:
     return seconds, (code, out.getvalue(), err.getvalue())
 
 
+def traced_peak_mb(main, argv: list[str]) -> float:
+    """Peak MB that ``tracemalloc`` traces during one ``main(argv)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(main, argv)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -104,6 +120,7 @@ def main() -> int:
                 print(f"ab_inproc: {args.workload}: the sides differ in "
                       f"{', '.join(which)}", file=sys.stderr)
                 return 1
+        peaks = {side: traced_peak_mb(mains[side], argv) for side in SIDES}
 
     medians = {side: statistics.median(times[side]) for side in SIDES}
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
@@ -111,7 +128,8 @@ def main() -> int:
     print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, outputs identical")
     for side in SIDES:
         print(f"  {side:<6}  median {medians[side] * 1e3:9.2f} ms"
-              f"  min {min(times[side]) * 1e3:9.2f} ms")
+              f"  min {min(times[side]) * 1e3:9.2f} ms"
+              f"  peak traced {peaks[side]:7.2f} MB")
     print(f"  change/parent median {medians['change'] / medians['parent']:.3f}; "
           f"rounds won: change {wins}, parent {losses}")
     return 0

@@ -131,6 +131,21 @@ _BRACE_JUMP_RE = re.compile(r"[{}]")
 _QUOTE_JUMP_RE = re.compile(r'["{}]')
 
 
+class _Lowercase(dict):
+    """Each name as read mapped to its lowercase form, one string per form.
+
+    A database repeats a few field names and entry types thousands of
+    times; sharing one string for each within a parse saves a copy per
+    field, as the key memo of CPython's ``json`` decoder does.  It holds
+    names only, never values, and lives as long as its parser.
+    """
+
+    def __missing__(self, name: str) -> str:
+        lower = name.lower()
+        self[name] = lower = self.setdefault(lower, lower)
+        return lower
+
+
 class _Parser:
     """Recursive-descent parser with per-entry error recovery."""
 
@@ -139,6 +154,7 @@ class _Parser:
         self._match_entry = re.compile(_ENTRY).match
         self.db = Database([], {**MONTH_MACROS, **(macros or {})}, [])
         self._seen_keys: set[str] = set()
+        self._lower = _Lowercase()
         # offsets of the '{'s that are never closed, from the delimiter of
         # the first value that ran to the end of the text (see _never_closed)
         self._unclosed: set[int] | None = None
@@ -166,11 +182,11 @@ class _Parser:
 
     def _parse_block(self, at: int) -> int:
         m = self._match_entry(self.text, at)
-        if m is None or (entry_type := m[1].lower()) in _BLOCKS:
+        if m is None or (entry_type := self._lower[m[1]]) in _BLOCKS:
             return self._parse_general(at)
         g = m.groups()
         key = g[1] or g[2]
-        names = [*map(str.lower, filter(None, g[3:-1:3]))]
+        names = [*map(self._lower.__getitem__, filter(None, g[3:-1:3]))]
         fields = dict(zip(names, g[4::3]))
         if len(fields) < len(names):
             # a duplicate field: read the run in order, as _parse_fields
@@ -261,7 +277,7 @@ class _Parser:
                 raise BibtexSyntaxError(f"expected '=', found {text[i]!r}", i)
             value, i = self._parse_value(i)
             i = _skip_space(text, i)
-            name = name.lower()
+            name = self._lower[name]
             if name in fields:
                 self._duplicate_field(name, key, m.start("name"))
             else:
@@ -400,19 +416,6 @@ def parse_database(text: str, macros: dict[str, str] | None = None) -> Database:
     Never raises on string input.
     """
     return _Parser(text, macros).run()
-
-
-def serialize_entry(entry: RawEntry) -> str:
-    lines = [f"@{entry.entry_type}{{{entry.key},"]
-    for name, value in entry.fields.items():
-        lines.append(f"  {name} = {{{value}}},")
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def serialize_database(entries: list[RawEntry]) -> str:
-    """Render entries back to ``.bib`` text; reparsing yields equal fields."""
-    return "\n\n".join(serialize_entry(e) for e in entries) + "\n"
 
 
 def _flatten(value: str) -> str:

@@ -344,15 +344,16 @@ def _one_name(words: list[str], text: str, masked: str, special: bool,
         suffix, comma, first = right.partition(",")
         if not comma:  # von Last, First
             suffix, first = "", suffix
+        elif "," in first:  # "Doe, Jr, John, X": BibTeX's "too many commas"
+            raise MalformedNameError(
+                f"name at position {index} has too many commas", index)
         if braced:  # the original at the same place
             start = len(text) - len(first)
-            given = " ".join(_cut(text[start:], first.replace(",", " ")))
+            given = " ".join(_cut(text[start:], first))
             if suffix:
                 suffix = " ".join(_cut(text[len(left) + 1:start - 1], suffix))
-        elif comma:
-            given, suffix = " ".join(first.replace(",", " ").split()), suffix.strip()
         else:
-            given = first.strip()
+            given, suffix = first.strip(), suffix.strip()
     if special:
         family, given, particle, suffix = (
             part and strip_latex(part) for part in (family, given, particle, suffix))

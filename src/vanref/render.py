@@ -456,11 +456,18 @@ def render_reference(rec: BibRecord,
     unmet requirement of the record's template, then an article with neither
     journal nor medium; :class:`ConflictingLocator` rejects an article that
     keeps both supplements once the in-press and continuous drop rules apply.
+    A template that requires nothing (misc) needs one attribute or role that
+    it prints; ``date_separator`` only joins two others.
     """
     template = TEMPLATES[rec.entry_type]
     for name in template.requires:
         if not getattr(rec, name):
             raise MissingRequiredField(rec.entry_type, name)
+    if not template.requires and not any(
+            rec.lists(read) if isinstance(read, Role) else getattr(rec, read)
+            for read in template.reads if read != "date_separator"):
+        raise RenderError(
+            f"entry type '{rec.entry_type.value}' has nothing to print")
     if template.render is _render_article:
         if not (rec.journal or rec.medium):
             raise MissingRequiredField(rec.entry_type, "journal")

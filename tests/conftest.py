@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from vanref import normalize, parse_database
+from vanref import RawEntry, normalize, parse_database
 
 # A longer run of every property, for CI: ``--hypothesis-profile=ci``.
 settings.register_profile("ci", max_examples=2000, deadline=None)
@@ -44,3 +44,16 @@ def corpus_records(corpus_db):
         assert not diagnostics
         records[record.key] = record
     return records
+
+
+def serialize_entry(entry: RawEntry) -> str:
+    lines = [f"@{entry.entry_type}{{{entry.key},"]
+    for name, value in entry.fields.items():
+        lines.append(f"  {name} = {{{value}}},")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def serialize_database(entries: list[RawEntry]) -> str:
+    """Render entries back to ``.bib`` text; reparsing yields equal fields."""
+    return "\n\n".join(serialize_entry(e) for e in entries) + "\n"

@@ -9,11 +9,13 @@ import random
 import time
 from pathlib import Path
 
-from vanref.bibtex import parse_database, serialize_database
+from vanref.bibtex import parse_database
 from vanref.cli import RunConfig, cmd_format
 from vanref.citescan import resolve, scan_citations
 from vanref.model import BibRecord, ContributorList, EntryType, PersonName
 from vanref.render import compress_page_range, format_contributors
+
+from conftest import serialize_database
 
 DATA_DIR = Path(__file__).parent / "data"
 BIB_PATH = DATA_DIR / "vancouver.bib"

@@ -23,10 +23,11 @@ from vanref.bibtex import (
     _has_special,
     _skip_junk,
     parse_database,
-    serialize_database,
     strip_latex,
 )
 from vanref.diagnostics import LineIndex, error, warning
+
+from conftest import serialize_database
 
 _WS_RUN_RE = re.compile(r"\s+")
 
@@ -614,6 +615,49 @@ class TestParseDatabase:
         assert [e.key for e in db.entries] == ["k"]
         assert db.diagnostics == []
         assert elapsed < 1.0
+
+
+class TestSharedNames:
+    """Within one parse, a field name or entry type is one string object."""
+
+    def test_entries_share_each_field_name_on_both_paths(self):
+        # b's note and title come after a quoted value, so the general loop
+        # reads them; a's come from the match
+        db = parse_database('@misc{a, title={x}, note={y}}\n'
+                            '@misc{b, url="u", note={z}, title=jan}')
+        a, b = (entry.fields for entry in db.entries)
+        assert [*b] == ["url", "note", "title"]
+        for name in a:
+            [same] = [other for other in b if other == name]
+            assert same is name
+
+    def test_every_spelling_of_a_name_gives_one_object(self):
+        db = parse_database('@misc{a, Title={x}}\n@misc{b, TITLE="y"}\n'
+                            '@misc{c, title={z}}')
+        titles = [next(iter(entry.fields)) for entry in db.entries]
+        assert titles == ["title"] * 3
+        assert titles[0] is titles[1] is titles[2]
+
+    def test_every_spelling_of_a_type_gives_one_object(self):
+        db = parse_database("@Article{a, t={x}}\n@article{b, t={y}}\n"
+                            "@ARTICLE{c, t={z}}")
+        types = [entry.entry_type for entry in db.entries]
+        assert types == ["article"] * 3
+        assert types[0] is types[1] is types[2]
+
+    def test_all_distinct_names_parse_with_their_duplicates_reported(self):
+        # no name repeats across entries; each entry repeats its second
+        # name in another case, in the match and after a quoted value
+        text = "".join(f'@misc{{k{i}, a{i}={{x}}, b{i}=12, B{i}="y", c{i}="z", '
+                       f'A{i}={{w}}}}\n' for i in range(300))
+        assert _parsed(parse_database, text) == \
+            _parsed(parse_database_reference, text)
+        db = parse_database(text)
+        assert len(db.entries) == 300
+        assert [d.message for d in db.diagnostics[:2]] == [
+            "duplicate field 'b0' in entry 'k0' ignored",
+            "duplicate field 'a0' in entry 'k0' ignored"]
+        assert len(db.diagnostics) == 600
 
 
 class TestRoundTrip:

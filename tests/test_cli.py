@@ -15,11 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from vanref import (RawEntry, StyleConfig, cli, parse_database, render_reference,
                     resolve)
-from vanref.bibtex import serialize_entry
 from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
 from vanref.diagnostics import Diagnostic, error, warning
 from vanref.model import UNPRINTED_FIELDS, Role, map_entry_type, normalize
 from vanref.render import TEMPLATES, RenderError
+
+from conftest import serialize_entry
 
 DATA_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -389,12 +390,41 @@ class TestCheck:
         assert err == (f"{bib}:1:1: error: entry 'k': bad author field: name at "
                        "position 0 has a comma in its suffix 'Jr, III' [malformed-name]\n")
 
+    @pytest.mark.parametrize("names,position", [
+        ("Doe, Jr, John, X", 0), ("Roe, A and Doe, Jr, John, X, Y", 1),
+        # the braced reader, and a fourth part that is empty
+        ("{Doe}, Jr, John, X", 0), ("Doe, Jr, {John}, X", 0), ("Doe, Jr, John,", 0)])
+    def test_too_many_commas_is_malformed_name(self, tmp_path, names, position):
+        bib = tmp_path / "commas.bib"
+        bib.write_text(f"@article{{k, author={{{names}}}, title={{T}}, "
+                       "journal={J}, year={2000}}", encoding="utf-8")
+        code, out, err = run_check(bib_paths=[str(bib)])
+        assert code == 1
+        assert out == "checked 1 entries: 1 errors, 0 warnings\n"
+        assert err == (f"{bib}:1:1: error: entry 'k': bad author field: name at "
+                       f"position {position} has too many commas [malformed-name]\n")
+
     def test_braced_suffix_prints_after_the_initials(self, tmp_path, capsys):
         bib = tmp_path / "suffix.bib"
         bib.write_text("@article{k, author={Doe, {Jr}, John}, title={T}, "
                        "journal={J}, year={2000}}", encoding="utf-8")
         assert main(["format", "--bib", str(bib), "--all"]) == 0
         assert capsys.readouterr() == ("1. Doe J Jr. T. J. 2000.\n", "")
+
+    def test_misc_with_nothing_to_print_is_a_render_error(self, tmp_path, capsys):
+        # a date separator joins two parts and prints nothing by itself
+        bib = tmp_path / "misc.bib"
+        bib.write_text("@misc{e}\n@misc{s, datesep={.}}\n@misc{y, year={2001}}\n",
+                       encoding="utf-8")
+        errors = "".join(
+            f"{bib}:{line}:1: warning: entry '{key}' has no date; year skipped "
+            f"[missing-date]\n{bib}:{line}:1: error: entry '{key}': entry type "
+            "'misc' has nothing to print [render]\n" for line, key in ((1, "e"), (2, "s")))
+        assert main(["format", "--bib", str(bib), "--all"]) == 1
+        assert capsys.readouterr() == ("3. 2001.\n", errors)
+        assert main(["check", "--bib", str(bib)]) == 1
+        assert capsys.readouterr() == ("checked 3 entries: 2 errors, 2 warnings\n",
+                                       errors)
 
     def test_shadowed_fields_warn(self, tmp_path):
         bib = tmp_path / "shadow.bib"

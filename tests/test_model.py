@@ -174,8 +174,9 @@ def _ref_parse_one_name(piece, index):
         von, last = [], left
     if len(parts) == 2:
         return _person_from_parts(parts[1], von, last, [], index)
-    first = [w for grp in parts[2:] for w in grp]
-    return _person_from_parts(first, von, last, parts[1], index)
+    if len(parts) > 3:
+        raise MalformedNameError(f"name at position {index} has too many commas", index)
+    return _person_from_parts(parts[2], von, last, parts[1], index)
 
 
 def _ref_parse_names(value):

@@ -516,6 +516,9 @@ class TestDryRender:
     @example("article", {"title": "T", "url": "u", "journal": "{}"}, DEFAULT_STYLE)
     @example("article", {"title": "T", "url": "u", "medium": "Internet"}, DEFAULT_STYLE)
     @example("newspaper", {"title": "T", "medium": "Internet"}, DEFAULT_STYLE)
+    @example("misc", {}, DEFAULT_STYLE)
+    @example("misc", {"datesep": "."}, DEFAULT_STYLE)
+    @example("misc", {"editor": "Roe, A"}, DEFAULT_STYLE)
     def test_dry_render_raises_what_a_full_render_raises(self, entry_type, fields,
                                                          style):
         record, _ = normalize(RawEntry(entry_type, "k", fields))
@@ -527,8 +530,9 @@ class TestDryRender:
             assert (type(full.value), str(full.value)) == (type(exc), str(exc))
             return
         assert decided is None
-        # a record that passes the checks renders: no template raises
+        # a record that passes the checks renders some text: no template raises
         text = TEMPLATES[record.entry_type].render(record, style)
+        assert text
         assert render_reference(record, style) == text
 
 
