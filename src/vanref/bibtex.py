@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, error, warning
+from .diagnostics import Diagnostic
 
 # Month macros, predefined as in the standard BibTeX styles: the one month table.
 MONTH_MACROS = {
@@ -169,7 +169,7 @@ class _Parser:
             try:
                 pos = self._parse_block(pos)
             except BibtexSyntaxError as exc:
-                self.db.diagnostics.append(error(
+                self.db.diagnostics.append(Diagnostic(
                     "malformed-entry",
                     f"entry skipped: {exc}",
                     pos,
@@ -246,7 +246,7 @@ class _Parser:
         value, i = self._parse_value(_skip_space(text, i))
         if name in self.db.macros and name not in MONTH_MACROS:
             self.db.diagnostics.append(
-                warning("macro-redefined", f"macro '{name}' redefined", m.start()))
+                Diagnostic("macro-redefined", f"macro '{name}' redefined", m.start()))
         self.db.macros[name] = value
         return self._expect(_skip_space(text, i), close)
 
@@ -285,7 +285,7 @@ class _Parser:
         return i
 
     def _duplicate_field(self, name: str, key: str, at: int) -> None:
-        self.db.diagnostics.append(warning(
+        self.db.diagnostics.append(Diagnostic(
             "duplicate-field",
             f"duplicate field '{name}' in entry '{key}' ignored",
             at,
@@ -294,7 +294,7 @@ class _Parser:
     def _add_entry(self, entry_type: str, key: str, fields: dict[str, str],
                    at: int, end: int) -> int:
         if key in self._seen_keys:
-            self.db.diagnostics.append(warning(
+            self.db.diagnostics.append(Diagnostic(
                 "duplicate-key",
                 f"duplicate entry key '{key}'; first occurrence kept",
                 at,
@@ -334,7 +334,7 @@ class _Parser:
             return word
         expansion = self.db.macros.get(word.lower())
         if expansion is None:
-            self.db.diagnostics.append(warning(
+            self.db.diagnostics.append(Diagnostic(
                 "undefined-macro", f"undefined macro '{word}'", at))
             return ""
         return expansion
@@ -469,7 +469,7 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
                 i += 1
             elif word := _CONTROL_WORD_RE.match(value, i):
                 if diagnostics is not None:
-                    diagnostics.append(warning(
+                    diagnostics.append(Diagnostic(
                         "unknown-macro",
                         f"dropped control sequence '\\{word.group(0)}'",
                         j,
@@ -477,7 +477,7 @@ def strip_latex(value: str, diagnostics: list[Diagnostic] | None = None) -> str:
                 i = _skip_space(value, word.end())
             else:
                 if diagnostics is not None:
-                    diagnostics.append(warning(
+                    diagnostics.append(Diagnostic(
                         "unknown-macro", f"dropped control symbol '\\{nxt}'", j))
                 i += 1
         elif c == "$":

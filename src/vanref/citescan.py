@@ -6,7 +6,7 @@ import re
 from typing import Iterable, NamedTuple, Protocol, TypeVar
 
 from .bibtex import _SPACE_RUN as _S
-from .diagnostics import Diagnostic, warning
+from .diagnostics import Diagnostic
 
 _KEY = r"[A-Za-z0-9.:*+/_-]+"
 _KEY_RE = re.compile(_KEY)
@@ -74,13 +74,13 @@ def scan_citations(text: str) -> CitationIndex:
                 occurrences.append((key.strip(), offset))
             continue
         if not group.strip():
-            diagnostics.append(warning(
+            diagnostics.append(Diagnostic(
                 "empty-cite-group", "\\cite with no citation key", offset))
             continue
         for raw_key in group.split(","):
             key = raw_key.strip()
             if not key or not _KEY_RE.fullmatch(key):
-                diagnostics.append(warning(
+                diagnostics.append(Diagnostic(
                     "malformed-key", f"malformed citation key {raw_key.strip()!r}",
                     offset))
                 continue

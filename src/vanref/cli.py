@@ -14,7 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .bibtex import RawEntry, parse_database
 from .citescan import CitationIndex, scan_citations, resolve
-from .diagnostics import Diagnostic, ERROR, LineIndex, error, warning
+from .diagnostics import ERROR, Diagnostic, LineIndex
 from .model import normalize
 from .render import TEMPLATES, RenderError, StyleConfig, render_reference
 
@@ -96,7 +96,7 @@ def _load_databases(paths: Sequence[str], reporter: _Reporter
         macros.update(db.macros)
         for entry in db.entries:
             if entry.key in sources:
-                reporter.emit(warning(
+                reporter.emit(Diagnostic(
                     "duplicate-key",
                     f"duplicate entry key '{entry.key}' across files",
                     entry.span[0]),
@@ -147,7 +147,7 @@ def _references(entries: list[RawEntry], sources: dict[str, Source],
             if not known.issuperset(entry.fields):
                 for name in entry.fields:
                     if name not in known:
-                        reporter.emit(warning(
+                        reporter.emit(Diagnostic(
                             "unknown-field",
                             f"entry '{entry.key}': field '{name}' not used by "
                             f"entry type '{record.entry_type.value}'",
@@ -155,8 +155,8 @@ def _references(entries: list[RawEntry], sources: dict[str, Source],
             try:
                 yield render_reference(record, style)
             except RenderError as exc:
-                reporter.emit(error("render", f"entry '{entry.key}': {exc}",
-                                    entry.span[0]), *source)
+                reporter.emit(Diagnostic("render", f"entry '{entry.key}': {exc}",
+                                         entry.span[0]), *source)
                 yield None
 
 
@@ -212,8 +212,8 @@ def cmd_format(config: RunConfig, stdout=None, stderr=None) -> int:
     # a missing key points at its first \cite; reversed, the first one wins
     first_cite = dict(reversed(index.occurrences)) if missing and index else {}
     for key in missing:
-        reporter.emit(warning("missing-key", f"no database entry for '{key}'",
-                              first_cite.get(key)), tex_lines, config.tex_path)
+        reporter.emit(Diagnostic("missing-key", f"no database entry for '{key}'",
+                                 first_cite.get(key)), tex_lines, config.tex_path)
     # the manuscript is not kept alive while the references render
     del scanned, index, tex_lines
 

@@ -6,6 +6,8 @@ from typing import NamedTuple
 
 ERROR = "error"
 WARNING = "warning"
+# The codes whose diagnostics are errors; every other code is a warning.
+ERROR_CODES = frozenset({"malformed-entry", "empty-name", "malformed-name", "render"})
 
 # Characters per chunk of the line index.  A lookup scans at most one
 # chunk, and building the index scans the text once, two calls per chunk.
@@ -56,10 +58,13 @@ class LineIndex:
 
 
 class Diagnostic(NamedTuple):
-    severity: str
     code: str
     message: str
     offset: int | None = None
+
+    @property
+    def severity(self) -> str:
+        return ERROR if self.code in ERROR_CODES else WARNING
 
     def render(self, index: LineIndex | None = None, path: str | None = None) -> str:
         """Format as ``path:line:col: severity: message`` for terminal output."""
@@ -73,10 +78,3 @@ class Diagnostic(NamedTuple):
             prefix += ": "
         return f"{prefix}{self.severity}: {self.message} [{self.code}]"
 
-
-def error(code: str, message: str, offset: int | None = None) -> Diagnostic:
-    return Diagnostic(ERROR, code, message, offset)
-
-
-def warning(code: str, message: str, offset: int | None = None) -> Diagnostic:
-    return Diagnostic(WARNING, code, message, offset)

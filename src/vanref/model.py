@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 from .bibtex import (MONTH_MACROS, RawEntry, _BRACE_JUMP_RE, _flatten, _has_special,
                      strip_latex)
-from .diagnostics import Diagnostic, error, warning
+from .diagnostics import Diagnostic
 
 
 class NameParseError(ValueError):
@@ -473,7 +473,7 @@ def parse_date(value: str,
     if m:
         return PartialDate(year=int(m.group(1)), circa=True, raw=s)
     if diagnostics is not None:
-        diagnostics.append(warning("unparsed-date", f"date kept verbatim: '{s}'"))
+        diagnostics.append(Diagnostic("unparsed-date", f"date kept verbatim: '{s}'"))
     return PartialDate(year=s, raw=s)
 
 
@@ -556,23 +556,13 @@ _TYPE_MAP = {
 }
 
 
-def map_entry_type(raw: RawEntry,
-                   diagnostics: list[Diagnostic] | None = None) -> EntryType:
-    """Total mapping from the raw ``@type`` (plus web/medium markers)."""
-    return _with_medium(_web_type(raw, diagnostics),
-                        strip_latex(raw.fields.get("medium", "")))
-
-
-def _web_type(raw: RawEntry, diagnostics: list[Diagnostic] | None) -> EntryType:
+def _web_type(raw: RawEntry, diagnostics: list[Diagnostic]) -> EntryType:
     """The type from ``@type`` and ``url``, before a book's medium is read."""
     base = _TYPE_MAP.get(raw.entry_type)
     if base is None:
-        if diagnostics is not None:
-            diagnostics.append(warning(
-                "unknown-entry-type",
-                f"unknown entry type '@{raw.entry_type}' treated as misc",
-                raw.span[0],
-            ))
+        diagnostics.append(Diagnostic(
+            "unknown-entry-type",
+            f"unknown entry type '@{raw.entry_type}' treated as misc"))
         return EntryType.MISC
     if raw.fields.get("url", "").strip():
         if base is EntryType.ARTICLE:
@@ -580,13 +570,6 @@ def _web_type(raw: RawEntry, diagnostics: list[Diagnostic] | None) -> EntryType:
         if base is EntryType.BOOK:
             return EntryType.WEBMONOGRAPH
     return base
-
-
-def _with_medium(entry_type: EntryType, medium: str) -> EntryType:
-    """A book with a cleaned ``medium`` is a CD-ROM or an audiovisual item."""
-    if entry_type is EntryType.BOOK and medium:
-        return EntryType.CDROM if "cd-rom" in medium.lower() else EntryType.AUDIOVISUAL
-    return entry_type
 
 
 _ROLE_FIELDS = [(role.value, role) for role in Role]
@@ -599,20 +582,21 @@ def _in_press(text: str, diags: list[Diagnostic]) -> bool:
     flag = text.lower()
     in_press = not flag or flag in TRUE_WORDS
     if not in_press and flag not in ("no", "false", "0", "off"):
-        diags.append(warning("unknown-value", f"inpress value '{flag}' ignored"))
+        diags.append(Diagnostic("unknown-value", f"inpress value '{flag}' ignored"))
     return in_press
 
 
 def _continuous(text: str, diags: list[Diagnostic]) -> bool:
     value = text.lower()
     if value != "continuous":
-        diags.append(warning("unknown-value", f"pagination value '{value}' ignored"))
+        diags.append(Diagnostic("unknown-value", f"pagination value '{value}' ignored"))
     return value == "continuous"
 
 
 def _date_separator(text: str, diags: list[Diagnostic]) -> str:
     if text not in (";", "."):
-        diags.append(warning("unknown-value", f"datesep '{text}' ignored; using ';'"))
+        diags.append(Diagnostic("unknown-value",
+                                f"datesep '{text}' ignored; using ';'"))
         return ";"
     return text
 
@@ -721,8 +705,8 @@ _IN_PRESS_FIELDS = [name for attr in IN_PRESS_HIDES for name in BIB_FIELDS[attr]
 
 
 def _shadowed(name: str, winner: str) -> Diagnostic:
-    return warning("shadowed-field",
-                   f"field '{name}' ignored: '{winner}' is used instead")
+    return Diagnostic("shadowed-field",
+                      f"field '{name}' ignored: '{winner}' is used instead")
 
 
 def _read(row: FieldRow, fields: dict[str, str],
@@ -750,11 +734,20 @@ def printed_qualifier(rec: BibRecord) -> str:
     return ""
 
 
+def after_drops(rec: BibRecord) -> BibRecord:
+    """``rec`` with what its drop rule hides at the defaults: in press hides
+    ``IN_PRESS_HIDES``, and otherwise continuous pagination ``CONTINUOUS_HIDES``."""
+    if rec.in_press:
+        return rec.without(IN_PRESS_HIDES)
+    if rec.continuous_pagination:
+        return rec.without(CONTINUOUS_HIDES)
+    return rec
+
+
 def _unprinted_qualifiers(rec: BibRecord, issue_field: str) -> list[Diagnostic]:
     """Warn for each supplement or part of ``rec`` the locator leaves out, and
     for its issue, read from ``issue_field``, which a volume's stands in for."""
-    if rec.continuous_pagination:
-        rec = rec.without(CONTINUOUS_HIDES)
+    rec = after_drops(rec)
     if rec.volume_supplement and rec.issue_supplement:
         return []  # rendering fails with ConflictingLocator
     printed = printed_qualifier(rec)
@@ -764,8 +757,8 @@ def _unprinted_qualifiers(rec: BibRecord, issue_field: str) -> list[Diagnostic]:
             continue
         why = (f"'{BIB_FIELDS[printed].fields[0]}' is used instead" if getattr(rec, host)
                else f"it needs '{BIB_FIELDS[host].fields[0]}'")
-        diags.append(warning("shadowed-field",
-                             f"field '{BIB_FIELDS[attr].fields[0]}' ignored: {why}"))
+        diags.append(Diagnostic(
+            "shadowed-field", f"field '{BIB_FIELDS[attr].fields[0]}' ignored: {why}"))
     if QUALIFIERS.get(printed) == "volume" and rec.issue:
         diags.append(_shadowed(issue_field, BIB_FIELDS[printed].fields[0]))
     return diags
@@ -782,9 +775,10 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
     press".  Rows are read in the order the entry first names one of their
     fields, ``date`` last.  The contributor roles are read in ``Role``
     order by :func:`parse_names`; in reports and patents ``number`` is
-    the document number.  The record is built positionally from
-    ``_DEFAULTS``.  Every diagnostic points at the entry's ``@``
-    (``raw.span[0]``).
+    the document number.  The entry type is read here alone, from ``@type``,
+    then ``url`` and the cleaned ``medium``.  The record is built
+    positionally from ``_DEFAULTS``.  Every diagnostic points at the
+    entry's ``@`` (``raw.span[0]``).
     """
     diags: list[Diagnostic] = []
     f = raw.fields
@@ -796,9 +790,9 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                 contributors.append(parse_names(f[field_name], role))
             except NameParseError as exc:
                 message = f"entry '{raw.key}': bad {field_name} field: {exc}"
-                diags.append(error("malformed-name", message)
+                diags.append(Diagnostic("malformed-name", message)
                              if isinstance(exc, MalformedNameError)
-                             else error("empty-name", message))
+                             else Diagnostic("empty-name", message))
 
     entry_type = _web_type(raw, diags)
     if entry_type is EntryType.PATENT and "author" in f:
@@ -822,7 +816,10 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
             winners[index], text = _read(several, f, diags)
         if text or read is _in_press:
             values[index] = text if read is None else read(text, diags)
-    entry_type = _with_medium(entry_type, values[_FIELD_INDEX["medium"]])
+    medium = values[_FIELD_INDEX["medium"]]
+    if entry_type is EntryType.BOOK and medium:  # a CD-ROM or an audiovisual item
+        entry_type = (EntryType.CDROM if "cd-rom" in medium.lower()
+                      else EntryType.AUDIOVISUAL)
 
     date_field, text = _read(_DATE_OR_YEAR, f, diags)
     date = None
@@ -838,7 +835,8 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
         if month_text:
             month = parse_month(month_text)
             if month is None:
-                diags.append(warning("unparsed-date", f"month '{month_text}' ignored"))
+                diags.append(Diagnostic("unparsed-date",
+                                        f"month '{month_text}' ignored"))
         day_text = strip_latex(f["day"], diags) if "day" in f else ""
         if day_text:
             m = _DAY_RE.fullmatch(day_text)
@@ -847,10 +845,10 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
                 if 1 <= first <= last <= month_days(year, month):  # a day the month has
                     day, day_end = first, last if m[2] else None
             if day is None:
-                diags.append(warning("unparsed-date", f"day '{day_text}' ignored"))
+                diags.append(Diagnostic("unparsed-date", f"day '{day_text}' ignored"))
         date = PartialDate(year, month, day, day_end)
     else:
-        diags.append(warning(
+        diags.append(Diagnostic(
             "missing-date", f"entry '{raw.key}' has no date; year skipped"))
 
     values[:3] = raw.key, entry_type, tuple(contributors)  # the record's first fields
@@ -861,8 +859,8 @@ def normalize(raw: RawEntry) -> tuple[BibRecord, list[Diagnostic]]:
             diags.extend(_shadowed(name, "inpress")
                          for name in _IN_PRESS_FIELDS if name in f)
             if date_field == "date" and date.month:
-                diags.append(warning("shadowed-field", "month and day of field 'date' "
-                                     "ignored: 'inpress' is used instead"))
+                diags.append(Diagnostic("shadowed-field", "month and day of field "
+                                        "'date' ignored: 'inpress' is used instead"))
         elif any(_QUALIFIER_VALUES(record)):
             issue_field = winners.get(_FIELD_INDEX["issue"], "")
             diags.extend(_unprinted_qualifiers(record, issue_field))

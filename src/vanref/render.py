@@ -22,8 +22,6 @@ from typing import Callable, NamedTuple
 from .bibtex import MONTH_MACROS
 from .model import (
     BIB_FIELDS,
-    CONTINUOUS_HIDES,
-    IN_PRESS_HIDES,
     PATENT_CREDITS,
     QUALIFIERS,
     UNPRINTED_FIELDS,
@@ -36,6 +34,7 @@ from .model import (
     PersonName,
     Role,
     _Checked,
+    after_drops,
     complete_page,
     digit_order,
     initials,
@@ -289,10 +288,7 @@ def _render_article(rec: BibRecord, style: StyleConfig) -> str:
     journal = rec.journal
     if rec.medium:
         journal = f"{journal} [{rec.medium}]" if journal else f"[{rec.medium}]"
-    if rec.in_press:
-        rec = rec.without(IN_PRESS_HIDES)
-    elif rec.continuous_pagination:
-        rec = rec.without(CONTINUOUS_HIDES)
+    rec = after_drops(rec)
     out = _date_text(rec.date)
     if rec.updated is not None or rec.cited is not None:
         out = _web_date_block(rec, out)
@@ -471,9 +467,8 @@ def render_reference(rec: BibRecord,
     if template.render is _render_article:
         if not (rec.journal or rec.medium):
             raise MissingRequiredField(rec.entry_type, "journal")
-        # in press hides both supplements, continuous pagination the issue's
-        if (rec.volume_supplement and rec.issue_supplement
-                and not rec.in_press and not rec.continuous_pagination):
+        dropped = after_drops(rec)
+        if dropped.volume_supplement and dropped.issue_supplement:
             raise ConflictingLocator()
     if style is None:
         return None

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from vanref import RawEntry, normalize, parse_database
+from vanref import Diagnostic, RawEntry, normalize, parse_database
 
 # A longer run of every property, for CI: ``--hypothesis-profile=ci``.
 settings.register_profile("ci", max_examples=2000, deadline=None)
@@ -12,6 +12,21 @@ DATA_DIR = Path(__file__).parent / "data"
 BIB_PATH = DATA_DIR / "vancouver.bib"
 TEX_PATH = DATA_DIR / "manuscript.tex"
 EXPECTED_PATH = DATA_DIR / "expected_refs.txt"
+
+
+# The reference implementations name each code's severity themselves, so
+# that every diagnostic they build checks the one the program reads from
+# ``ERROR_CODES``.
+def error(code: str, message: str, offset: int | None = None) -> Diagnostic:
+    diag = Diagnostic(code, message, offset)
+    assert diag.severity == "error", f"[{code}] is not an error"
+    return diag
+
+
+def warning(code: str, message: str, offset: int | None = None) -> Diagnostic:
+    diag = Diagnostic(code, message, offset)
+    assert diag.severity == "warning", f"[{code}] is not a warning"
+    return diag
 
 
 @pytest.fixture(scope="session")

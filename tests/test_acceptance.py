@@ -7,7 +7,6 @@ timings as they happen.
 import io
 import random
 import time
-from pathlib import Path
 
 from vanref.bibtex import parse_database
 from vanref.cli import RunConfig, cmd_format
@@ -15,12 +14,7 @@ from vanref.citescan import resolve, scan_citations
 from vanref.model import BibRecord, ContributorList, EntryType, PersonName
 from vanref.render import compress_page_range, format_contributors
 
-from conftest import serialize_database
-
-DATA_DIR = Path(__file__).parent / "data"
-BIB_PATH = DATA_DIR / "vancouver.bib"
-TEX_PATH = DATA_DIR / "manuscript.tex"
-EXPECTED_PATH = DATA_DIR / "expected_refs.txt"
+from conftest import BIB_PATH, EXPECTED_PATH, TEX_PATH, serialize_database
 
 # Reference strings read straight off the published sample list; the golden
 # corpus line for each must reproduce them byte-for-byte.

@@ -25,9 +25,9 @@ from vanref.bibtex import (
     parse_database,
     strip_latex,
 )
-from vanref.diagnostics import LineIndex, error, warning
+from vanref.diagnostics import LineIndex
 
-from conftest import serialize_database
+from conftest import error, serialize_database, warning
 
 _WS_RUN_RE = re.compile(r"\s+")
 

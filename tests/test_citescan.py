@@ -6,8 +6,9 @@ import time
 from hypothesis import example, given, strategies as st
 
 from vanref.citescan import _blank_comments, resolve, scan_citations
-from vanref.diagnostics import warning
 from vanref.model import BibRecord, EntryType
+
+from conftest import warning
 
 
 # Reference for ``scan_citations``: the earlier version, which blanked

@@ -16,16 +16,13 @@ from hypothesis import example, given, settings, strategies as st
 from vanref import (RawEntry, StyleConfig, cli, parse_database, render_reference,
                     resolve)
 from vanref.cli import RunConfig, cmd_check, cmd_format, cmd_scan, main
-from vanref.diagnostics import Diagnostic, error, warning
-from vanref.model import UNPRINTED_FIELDS, Role, map_entry_type, normalize
+from vanref.diagnostics import Diagnostic
+from vanref.model import UNPRINTED_FIELDS, Role, normalize
 from vanref.render import TEMPLATES, RenderError
 
-from conftest import serialize_entry
+from conftest import BIB_PATH, TEX_PATH, error, serialize_entry, warning
 
-DATA_DIR = Path(__file__).parent / "data"
 SRC_DIR = Path(__file__).parent.parent / "src"
-BIB_PATH = DATA_DIR / "vancouver.bib"
-TEX_PATH = DATA_DIR / "manuscript.tex"
 
 
 def run_format(**kwargs):
@@ -943,7 +940,7 @@ class TestMonographs:
 
         base_out, base_err = run(base)
         assert base_out and base_err == ""
-        accepted = TEMPLATES[map_entry_type(RawEntry(entry_type, "k", base))].fields
+        accepted = TEMPLATES[normalize(RawEntry(entry_type, "k", base))[0].entry_type].fields
         # still open: the common fields nothing prints
         probed = accepted - UNPRINTED_FIELDS - base.keys()
         silent = [name for name in sorted(probed)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from hypothesis import example, given, strategies as st
 
-from vanref.diagnostics import _CHUNK, LineIndex, warning
+from vanref.diagnostics import _CHUNK, ERROR_CODES, Diagnostic, LineIndex
 
 
 def line_col_reference(source, offset):
@@ -63,25 +63,39 @@ def test_lookups_in_a_long_single_line_scan_one_chunk_each():
 
 
 def test_offset_without_index_renders_raw():
-    diag = warning("unknown-macro", "dropped", 2)
+    diag = Diagnostic("unknown-macro", "dropped", 2)
     assert diag.render(None, "f.bib") == "f.bib:@2: warning: dropped [unknown-macro]"
     assert diag.render() == ":@2: warning: dropped [unknown-macro]"
 
 
 ROOT = Path(__file__).parent.parent
-# a code is the string literal that opens a warning( or error( call
-EMITTED_CODE = re.compile(r'\b(?:warning|error)\(\s*"([^"]*)"')
+# a code is the string literal that opens a Diagnostic( call
+EMITTED_CODE = re.compile(r'\bDiagnostic\(\s*"([^"]*)"')
 # README's codes table, a row per code, and a code named in backquotes
 CODE_TABLE = re.compile(r"^## Diagnostic codes$(.*?)^## ", re.M | re.S)
 TABLE_CODE = re.compile(r"^\| `([^`]*)` \|", re.M)
 PROSE_CODE = re.compile(r"`([a-z]+(?:-[a-z]+)+)`")
+# the README sentence that names the error codes, each in backquotes
+ERRORS_SENTENCE = re.compile(r"Only (.*?) are\s+errors;", re.S)
+BACKQUOTED = re.compile(r"`([^`]*)`")
+
+
+def emitted_codes():
+    return {code for path in (ROOT / "src" / "vanref").glob("*.py")
+            for code in EMITTED_CODE.findall(path.read_text(encoding="utf-8"))}
 
 
 def test_readme_names_every_diagnostic_code_and_no_other():
-    emitted = {code for path in (ROOT / "src" / "vanref").glob("*.py")
-               for code in EMITTED_CODE.findall(path.read_text(encoding="utf-8"))}
+    emitted = emitted_codes()
     assert len(emitted) >= 17
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     table = TABLE_CODE.findall(CODE_TABLE.search(readme)[1])
     assert sorted(table) == sorted(emitted)
     assert set(PROSE_CODE.findall(readme)) <= emitted
+
+
+def test_readme_names_the_error_codes_and_each_is_emitted():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = ERRORS_SENTENCE.search(CODE_TABLE.search(readme)[1])[1]
+    assert set(BACKQUOTED.findall(sentence)) == ERROR_CODES
+    assert ERROR_CODES <= emitted_codes()

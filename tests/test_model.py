@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from vanref.bibtex import RawEntry, parse_database, strip_latex
-from vanref.diagnostics import error, warning
 from vanref.model import (
     BIB_FIELDS,
     CONTINUOUS_HIDES,
@@ -29,8 +28,8 @@ from vanref.model import (
     PartialDate,
     PersonName,
     Role,
+    after_drops,
     initials,
-    map_entry_type,
     month_days,
     normalize,
     parse_date,
@@ -38,8 +37,10 @@ from vanref.model import (
     parse_names,
     parse_pages,
 )
-from vanref.model import _ROLE_FIELDS
+from vanref.model import _ROLE_FIELDS, _TYPE_MAP
 from vanref.render import TEMPLATES, format_journal_locator
+
+from conftest import error, warning
 
 
 # The case test and the part builder of the earlier reader, kept here so
@@ -242,7 +243,21 @@ def normalize_reference(raw):
                 diags.append(error(
                     code, f"entry '{raw.key}': bad {field_name} field: {exc}"))
 
-    entry_type = map_entry_type(raw, diags)
+    # the type: a url makes an article a web journal and a book a web
+    # monograph, and a book with a cleaned medium is a CD-ROM or audiovisual
+    entry_type = _TYPE_MAP.get(raw.entry_type)
+    medium = strip_latex(f.get("medium", ""))
+    if entry_type is None:
+        diags.append(warning("unknown-entry-type",
+                             f"unknown entry type '@{raw.entry_type}' treated as misc"))
+        entry_type = EntryType.MISC
+    elif f.get("url", "").strip() and entry_type is EntryType.ARTICLE:
+        entry_type = EntryType.WEBJOURNAL
+    elif f.get("url", "").strip() and entry_type is EntryType.BOOK:
+        entry_type = EntryType.WEBMONOGRAPH
+    elif entry_type is EntryType.BOOK and medium:
+        entry_type = (EntryType.CDROM if "cd-rom" in medium.lower()
+                      else EntryType.AUDIOVISUAL)
     named = [c.role.value for c in contributors
              if c.role in (Role.INVENTOR, Role.ASSIGNEE)]
     if entry_type is EntryType.PATENT and "author" in f and named:
@@ -546,6 +561,19 @@ class TestWithout:
             assert type(copy_) is BibRecord
             assert copy_ == _without_by_replace(record, attrs), record.key
 
+    @pytest.mark.parametrize("in_press", [False, True])
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_after_drops_follows_the_flags(self, corpus_records, in_press, continuous):
+        for record in corpus_records.values():
+            record = record._replace(in_press=in_press, continuous_pagination=continuous)
+            dropped = after_drops(record)
+            if in_press:
+                assert dropped == record.without(IN_PRESS_HIDES), record.key
+            elif continuous:
+                assert dropped == record.without(CONTINUOUS_HIDES), record.key
+            else:
+                assert dropped is record
+
 
 class TestParseNames:
     def test_two_personal_names(self):
@@ -832,33 +860,42 @@ def _widened(value):
     return re.sub(r"\s+", lambda m: "\n" + m.group(0) + "\t", value)
 
 
+def entry_type_of(entry):
+    """The type ``normalize`` reads, which warns exactly for an unknown type."""
+    record, diags = normalize(entry)
+    unknown = [d for d in diags if d.code == "unknown-entry-type"]
+    assert unknown == ([] if entry.entry_type in _TYPE_MAP else [warning(
+        "unknown-entry-type",
+        f"unknown entry type '@{entry.entry_type}' treated as misc", entry.span[0])])
+    return record.entry_type
+
+
 class TestMapEntryType:
     def test_patent(self):
-        assert map_entry_type(raw("patent")) is EntryType.PATENT
+        assert entry_type_of(raw("patent")) is EntryType.PATENT
 
     def test_map(self):
-        assert map_entry_type(raw("map")) is EntryType.MAP
+        assert entry_type_of(raw("map")) is EntryType.MAP
 
     def test_article_with_url_is_web_journal(self):
-        result = map_entry_type(
+        result = entry_type_of(
             raw("article", url="http://x", medium="serial on the Internet"))
         assert result is EntryType.WEBJOURNAL
 
     def test_book_with_url_is_web_monograph(self):
-        assert map_entry_type(raw("book", url="http://x")) is EntryType.WEBMONOGRAPH
+        assert entry_type_of(raw("book", url="http://x")) is EntryType.WEBMONOGRAPH
 
     def test_book_with_cdrom_medium(self):
-        assert map_entry_type(raw("book", medium="CD-ROM")) is EntryType.CDROM
+        assert entry_type_of(raw("book", medium="CD-ROM")) is EntryType.CDROM
 
     def test_book_with_empty_medium_stays_a_book(self):
         for medium in ("", " {} ", "{\\em}"):
-            assert map_entry_type(raw("book", medium=medium)) is EntryType.BOOK
-        assert map_entry_type(raw("book", medium="{CD--ROM}")) is EntryType.CDROM
+            assert entry_type_of(raw("book", medium=medium)) is EntryType.BOOK
+        assert entry_type_of(raw("book", medium="{CD--ROM}")) is EntryType.CDROM
 
     def test_unknown_type_is_misc_with_diagnostic(self):
-        sink = []
-        assert map_entry_type(raw("artwork"), sink) is EntryType.MISC
-        assert [d.code for d in sink] == ["unknown-entry-type"]
+        entry = RawEntry("artwork", "k", {}, (7, 20))
+        assert entry_type_of(entry) is EntryType.MISC
 
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12),
            st.booleans(), st.booleans())
@@ -868,7 +905,7 @@ class TestMapEntryType:
             fields["url"] = "http://example.org"
         if has_medium:
             fields["medium"] = "videocassette"
-        result = map_entry_type(RawEntry(entry_type, "k", fields))
+        result = entry_type_of(RawEntry(entry_type, "k", fields))
         assert isinstance(result, EntryType)
 
 
